@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
@@ -294,20 +295,20 @@ def test_engine_speedup_at_256_hosts(benchmark):
 
 
 def test_vectorized_kernel_speedup_at_256_hosts(benchmark):
-    """Array allocation kernels vs the scalar loop — same process, same answers.
+    """The flow pipeline vs the frozen scalar path — same process, same answers.
 
     A 256-host leave-one-out selection sweep (16 spread hosts, 16
     scenarios of 210 variable flows each) answered twice by the *same*
-    Remos instance: once with the numpy kernels forced on, once with the
-    scalar waterfilling loop forced.  Best-of-N within one process keeps
-    scheduler noise out of the ratio; the answers must be bit-identical
-    (the vectorized path is a reordering of the same float operations,
-    not an approximation).
+    Remos instance: once through the pipeline, once with the frozen
+    scalar evaluator and filling loop (``tests/core/_oracle_flow.py``)
+    substituted for it.  Best-of-N within one process keeps scheduler
+    noise out of the ratio; the answers must be bit-identical (the array
+    kernel is a reordering of the same float operations, not an
+    approximation).
     """
-    from repro.fairshare import vectorized
-
-    if not vectorized.HAVE_NUMPY:
-        pytest.skip("numpy not installed; no vectorized kernel to measure")
+    # Imported here: the perfbench server imports this module for
+    # build_tree and should not load the test oracles.
+    from tests.core._oracle_flow import scalar_denominator
 
     topology, hosts = build_tree(256)
     pool = spread_hosts(hosts, 16)
@@ -327,9 +328,8 @@ def test_vectorized_kernel_speedup_at_256_hosts(benchmark):
     view = NetworkView(topology=topology, metrics=MetricsStore())
     remos = Remos(view)
 
-    def timed(mode: bool, reps: int = 3):
-        vectorized.set_vectorized(mode)
-        try:
+    def timed(scalar: bool, reps: int = 3):
+        with scalar_denominator() if scalar else nullcontext():
             remos.flow_info_batch(scenarios, timeframe)  # warm run
             best, answer = float("inf"), None
             for _ in range(reps):
@@ -337,12 +337,10 @@ def test_vectorized_kernel_speedup_at_256_hosts(benchmark):
                 answer = remos.flow_info_batch(scenarios, timeframe)
                 best = min(best, time.perf_counter() - t0)
             return best, answer
-        finally:
-            vectorized.set_vectorized(None)
 
     def experiment():
-        scalar_wall, scalar_answer = timed(False)
-        vector_wall, vector_answer = timed(True)
+        scalar_wall, scalar_answer = timed(True)
+        vector_wall, vector_answer = timed(False)
         return scalar_wall, scalar_answer, vector_wall, vector_answer
 
     scalar_wall, scalar_answer, vector_wall, vector_answer = benchmark.pedantic(

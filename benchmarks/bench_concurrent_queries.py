@@ -36,6 +36,7 @@ import json
 import os
 import threading
 import time
+from contextlib import nullcontext
 from http.client import HTTPConnection
 from pathlib import Path
 
@@ -45,6 +46,7 @@ from repro.testbed import World
 
 from benchmarks._experiments import emit
 from benchmarks.bench_ablation_scale import build_tree, spread_hosts
+from tests.core._oracle_flow import scalar_denominator
 
 N_HOSTS = 64
 WARMUP_S = 20.0
@@ -107,17 +109,18 @@ def _make_service() -> tuple[RemosService, list[Flow], Timeframe]:
     return service, flows, Timeframe.history(10.0)
 
 
-def _run_phase(readers: int, vectorize: bool | None = None) -> dict:
+def _run_phase(readers: int, scalar: bool = False) -> dict:
     """Fixed-wall-duration throughput at *readers* query threads.
 
-    *vectorize* pins the allocation kernel for the phase: ``False`` is
-    the scalar loop (the expensive-query regime the coalescing design
-    targets — and the no-numpy behaviour), ``True`` forces the array
-    kernels, ``None`` leaves auto-detection alone.
+    *scalar* answers the phase through the frozen scalar evaluator and
+    filling loop (``tests/core/_oracle_flow.py``) instead of the flow
+    pipeline: the expensive-query regime the coalescing design targets.
     """
-    from repro.fairshare import vectorized
+    with scalar_denominator() if scalar else nullcontext():
+        return _measure_phase(readers)
 
-    vectorized.set_vectorized(vectorize)
+
+def _measure_phase(readers: int) -> dict:
     service, flows, timeframe = _make_service()
     try:
         # One untimed query per thread count to settle imports/caches.
@@ -155,7 +158,6 @@ def _run_phase(readers: int, vectorize: bool | None = None) -> dict:
         }
     finally:
         service.stop()
-        vectorized.set_vectorized(None)
 
 
 def _drive_http(address: tuple[str, int], flows: list[Flow]) -> dict:
@@ -304,23 +306,18 @@ def test_front_door_throughput(benchmark):
 def test_concurrent_throughput_scales(benchmark):
     """Coalescing scaling, measured in the regime it was designed for.
 
-    The gated phases pin the **scalar** allocation kernel: that is both
-    the no-numpy behaviour and the expensive-query regime where
-    coalescing is the throughput win (one leader pays the per-epoch work
-    for the whole batch).  With the vectorized kernels on, a single
-    reader is already ~50x faster and per-query thread overhead dominates
-    — the vectorized phases are recorded alongside as the raw-speed
-    headline, not gated on scaling.
+    The gated phases answer through the frozen **scalar** evaluator and
+    filling loop (``tests/core/_oracle_flow.py``): the expensive-query
+    regime where coalescing is the throughput win (one leader pays the
+    per-epoch work for the whole batch).  Through the flow pipeline a
+    single reader is already ~50x faster and per-query thread overhead
+    dominates — the pipeline phases are recorded alongside as the
+    raw-speed headline, not gated on scaling.
     """
-    from repro.fairshare import vectorized
 
     def experiment():
-        scalar = [_run_phase(readers, vectorize=False) for readers in THREAD_COUNTS]
-        vector = (
-            [_run_phase(readers, vectorize=True) for readers in (1, 8)]
-            if vectorized.HAVE_NUMPY
-            else []
-        )
+        scalar = [_run_phase(readers, scalar=True) for readers in THREAD_COUNTS]
+        vector = [_run_phase(readers) for readers in (1, 8)]
         return scalar, vector
 
     phases, vector_phases = benchmark.pedantic(experiment, rounds=1, iterations=1)
@@ -334,7 +331,7 @@ def test_concurrent_throughput_scales(benchmark):
     lines = [
         f"Concurrent flow_info throughput, {N_HOSTS} hosts, live sweeper "
         f"(every sweep touches every direction), {PHASE_WALL_S}s per phase, "
-        f"scalar allocation kernel:"
+        f"frozen scalar evaluator:"
     ]
     for phase in phases:
         lines.append(

@@ -23,24 +23,20 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass
-from typing import Hashable
 
 from repro import obs
 from repro.collector.base import Collector, NetworkView
 from repro.core.cachestats import CacheStats
-from repro.core.flows import Flow, FlowAnswer, FlowInfoResult, FlowQuery, MulticastFlow
+from repro.core.flows import Flow, FlowInfoResult, FlowQuery, MulticastFlow
 from repro.core.graph import RemosGraph
-from repro.core.modeler import CapacityView, Modeler
+from repro.core.modeler import Modeler
 from repro.core import snaparrays as _snaparrays
 from repro.core.snapshot import Snapshot, SnapshotPublisher
 from repro.core.timeframe import Timeframe
-from repro.fairshare import FlowRequest, StagedProblem, admission_report
+from repro.fairshare import FlowRequest, admission_report
 from repro.fairshare import vectorized as _vectorized
 from repro.stats import StatMeasure
 from repro.util.errors import CollectorError, QueryError
-
-# Quantiles at which flow allocations are evaluated, pessimistic first.
-_LEVELS = ("minimum", "q1", "median", "q3", "maximum")
 
 
 @dataclass
@@ -238,11 +234,9 @@ class Remos:
                 modeler = self._modeler()
                 if sp:
                     hits, misses = self.cache_stats.hits, self.cache_stats.misses
-                snapshots = self._capacity_snapshots(modeler, timeframe)
-                caches = _snaparrays.BatchCaches(modeler, timeframe)
-                result = self._evaluate_flow_query(
-                    modeler, fixed, variable, independent, timeframe, snapshots,
-                    caches,
+                source = _snaparrays.BatchCaches(modeler, timeframe)
+                result = _snaparrays.evaluate_flow_query(
+                    source, fixed, variable, independent, timeframe
                 )
                 if sp:
                     self._annotate_query_span(sp, modeler, hits, misses)
@@ -286,17 +280,14 @@ class Remos:
                 modeler = self._modeler()
                 if sp:
                     hits, misses = self.cache_stats.hits, self.cache_stats.misses
-                snapshots = self._capacity_snapshots(modeler, timeframe)
-                caches = _snaparrays.BatchCaches(modeler, timeframe)
+                source = _snaparrays.BatchCaches(modeler, timeframe)
                 results = [
-                    self._evaluate_flow_query(
-                        modeler,
-                        list(scenario.fixed),
-                        list(scenario.variable),
-                        list(scenario.independent),
+                    _snaparrays.evaluate_flow_query(
+                        source,
+                        scenario.fixed,
+                        scenario.variable,
+                        scenario.independent,
                         timeframe,
-                        snapshots,
-                        caches,
                     )
                     for scenario in scenarios
                 ]
@@ -309,183 +300,6 @@ class Remos:
                 return results
             finally:
                 self._end_query(started, "flow_info_batch")
-
-    @staticmethod
-    def _capacity_snapshots(
-        modeler: Modeler, timeframe: Timeframe
-    ) -> dict[str, CapacityView]:
-        """One lazy availability view per evaluation quantile.
-
-        The views compute only the resources the queried flows cross —
-        values bit-identical to the eager whole-network dicts of
-        :meth:`_capacity_snapshots_full` (the pruning argument: uncrossed
-        resources never influence a max-min allocation), at a cost that
-        scales with the flows instead of the network.
-        """
-        return {
-            level: modeler.capacity_view(timeframe, quantile=level)
-            for level in (*_LEVELS, "mean")
-        }
-
-    @staticmethod
-    def _capacity_snapshots_full(
-        modeler: Modeler, timeframe: Timeframe
-    ) -> dict[str, dict[Hashable, float]]:
-        """Eager whole-network snapshots: the flat baseline.
-
-        The differential suite and the scale benchmark evaluate flow
-        queries against these to prove the lazy views answer-preserving.
-        """
-        return {
-            level: modeler.available_capacities(timeframe, quantile=level)
-            for level in (*_LEVELS, "mean")
-        }
-
-    def _evaluate_flow_query(
-        self,
-        modeler: Modeler,
-        fixed: list[Flow],
-        variable: list[Flow],
-        independent: list[Flow],
-        timeframe: Timeframe,
-        snapshots: "dict[str, CapacityView] | dict[str, dict[Hashable, float]]",
-        caches: "_snaparrays.BatchCaches | None" = None,
-    ) -> FlowInfoResult:
-        # Large all-unicast scenarios run through the array evaluator —
-        # same validation, same staged solve, bit-identical answers
-        # (repro.core.snaparrays); everything else takes the scalar path
-        # below, which doubles as the no-numpy fallback and the oracle.
-        if caches is not None and caches.usable(fixed, variable, independent):
-            return _snaparrays.evaluate_flow_query(
-                modeler, fixed, variable, independent, timeframe, snapshots, caches
-            )
-        topology = modeler.view.topology
-        for flow in (*fixed, *variable, *independent):
-            endpoints = (flow.src, *flow.dsts) if isinstance(flow, MulticastFlow) else (
-                flow.src,
-                flow.dst,
-            )
-            for endpoint in endpoints:
-                if not topology.has_node(endpoint):
-                    raise QueryError(f"unknown flow endpoint {endpoint!r}")
-                if not topology.node(endpoint).is_compute:
-                    raise QueryError(
-                        f"flow endpoints must be compute nodes; {endpoint!r} is not"
-                    )
-
-        def resources_of(flow) -> tuple:
-            if isinstance(flow, MulticastFlow):
-                return modeler.resources_for_tree(flow.src, list(flow.dsts))
-            return modeler.resources_for_route(flow.src, flow.dst)
-
-        def requests(flows: list[Flow], klass: str) -> list[FlowRequest]:
-            return [
-                FlowRequest(
-                    flow_id=flow.label(index, klass),
-                    resources=resources_of(flow),
-                    requested=flow.requested,
-                    cap=flow.cap,
-                )
-                for index, flow in enumerate(flows)
-            ]
-
-        fixed_requests = requests(fixed, "fixed")
-        variable_requests = requests(variable, "variable")
-        independent_requests = requests(independent, "independent")
-        all_ids = [r.flow_id for r in (*fixed_requests, *variable_requests, *independent_requests)]
-        if len(set(all_ids)) != len(all_ids):
-            raise QueryError("flow labels must be unique within a query")
-
-        # Evaluate the allocation at each availability quantile.  The
-        # staged problem (demand validation + crossing indices) is prepared
-        # once and solved per level, against only the capacities the
-        # queried flows actually cross — pruning is result-preserving
-        # because uncrossed resources never influence a max-min allocation.
-        problem = StagedProblem(
-            fixed=fixed_requests,
-            variable=variable_requests,
-            independent=independent_requests,
-        )
-        keys = problem.resource_keys()
-        rates_by_level: dict[str, dict[Hashable, float]] = {}
-        median_allocation = None
-        for level in (*_LEVELS, "mean"):
-            full = snapshots[level]
-            capacities = {key: full[key] for key in keys if key in full}
-            allocation = problem.solve(capacities)
-            rates_by_level[level] = allocation.rates
-            if level == "median":
-                median_allocation = allocation
-        assert median_allocation is not None
-
-        # Overall answer accuracy: the worst accuracy among the directions
-        # any queried flow traverses.
-        accuracy = self._query_accuracy(
-            modeler, timeframe, fixed + variable + independent
-        )
-
-        def answers(flows: list[Flow], reqs: list[FlowRequest], klass: str) -> list[FlowAnswer]:
-            result = []
-            for flow, request in zip(flows, reqs):
-                label = request.flow_id
-                # Rates at rising availability quantiles are monotone in all
-                # common cases; sorting guards the rare multi-bottleneck
-                # exception so the StatMeasure invariant always holds.
-                quartiles = sorted(rates_by_level[level][label] for level in _LEVELS)
-                bandwidth = StatMeasure(
-                    minimum=quartiles[0],
-                    q1=quartiles[1],
-                    median=quartiles[2],
-                    q3=quartiles[3],
-                    maximum=quartiles[4],
-                    mean=rates_by_level["mean"][label],
-                    n_samples=len(_LEVELS),
-                    accuracy=accuracy,
-                )
-                if isinstance(flow, MulticastFlow):
-                    tree = modeler.routing.multicast_tree(flow.src, list(flow.dsts))
-                    latency, hop_count = tree.max_latency, len(tree.hops)
-                else:
-                    route = modeler.routing.route(flow.src, flow.dst)
-                    latency, hop_count = route.latency, route.hop_count
-                result.append(
-                    FlowAnswer(
-                        flow=flow,
-                        label=label,
-                        bandwidth=bandwidth,
-                        latency=StatMeasure.constant(latency),
-                        hop_count=hop_count,
-                        satisfied=(
-                            median_allocation.satisfied.get(label)
-                            if klass == "fixed"
-                            else None
-                        ),
-                        bottleneck=median_allocation.bottlenecks.get(label),
-                    )
-                )
-            return result
-
-        return FlowInfoResult(
-            timeframe=timeframe,
-            fixed=answers(fixed, fixed_requests, "fixed"),
-            variable=answers(variable, variable_requests, "variable"),
-            independent=answers(independent, independent_requests, "independent"),
-        )
-
-    @staticmethod
-    def _query_accuracy(
-        modeler: Modeler, timeframe: Timeframe, flows: list[Flow]
-    ) -> float:
-        accuracy = 1.0
-        for flow in flows:
-            if isinstance(flow, MulticastFlow):
-                hops = modeler.routing.multicast_tree(flow.src, list(flow.dsts)).hops
-            else:
-                hops = modeler.routing.route(flow.src, flow.dst).hops
-            for hop in hops:
-                measure = modeler.available_bandwidth(hop, timeframe)
-                accuracy = min(accuracy, measure.accuracy)
-        return accuracy
 
     # -- node (computation/memory) queries --------------------------------------
 
@@ -645,14 +459,12 @@ class Remos:
         ):
             registry.gauge(name, help=help_text).set_function(reader(fn))
 
-        # Allocation-path gauges: module-global, not per-facade (solve
-        # counters accumulate across every Remos instance in the process).
-        for name, help_text, fn in (
-            ("remos_vectorized", "1 when the numpy allocation kernels are live", lambda: float(_vectorized.vectorization_enabled())),
-            ("remos_vectorized_solves_total", "Max-min solves answered by the array kernel", lambda: float(_vectorized.counters["vectorized_solves"])),
-            ("remos_scalar_solves_total", "Max-min solves answered by the scalar loop", lambda: float(_vectorized.counters["scalar_solves"])),
-        ):
-            registry.gauge(name, help=help_text).set_function(fn)
+        # Module-global, not per-facade: the kernel counter accumulates
+        # across every Remos instance in the process.
+        registry.gauge(
+            "remos_vectorized_solves_total",
+            help="Max-min kernel runs (one per flow class per availability level)",
+        ).set_function(lambda: float(_vectorized.counters["vectorized_solves"]))
 
     def telemetry(self) -> dict:
         """One combined, JSON-able observability snapshot for this facade.
@@ -701,7 +513,6 @@ class Remos:
             "snapshot": None if current is None else current.to_dict(),
             "collector": collector_info,
             "observability_enabled": obs.observability_enabled(),
-            "vectorized": _vectorized.vectorization_enabled(),
             "solves": dict(_vectorized.counters),
             "metrics": obs.get_registry().to_dict(),
         }

@@ -131,8 +131,8 @@ class Modeler:
         # "whole-network graph went flat" warning is one-time per structure
         # (the counter keeps counting every fallback query).
         self._slow_path_warned: int | None = None
-        # Per-epoch array materialisation for the vectorized query path
-        # (repro.core.snaparrays); built lazily on first vectorized query.
+        # Per-epoch route arrays for the flow pipeline
+        # (repro.core.snaparrays); built lazily on the first flow query.
         self._snaparrays = None
         # Structure level last synchronised against; advancing past it
         # means the topology changed under us (in place), so routing and
@@ -705,9 +705,9 @@ class Modeler:
     def snapshot_arrays(self):
         """The per-epoch :class:`~repro.core.snaparrays.SnapshotArrays`.
 
-        Lazily built (numpy paths only) and revalidated against in-place
-        structural change; a published snapshot's modeler keeps one for
-        its lifetime, shared by all reader threads.
+        Lazily built and revalidated against in-place structural change;
+        a published snapshot's modeler keeps one for its lifetime, shared
+        by all reader threads.
         """
         from repro.core.snaparrays import SnapshotArrays
 

@@ -1,67 +1,89 @@
-"""Per-epoch array materialisation for the vectorized query path.
+"""The flow-evaluation pipeline: plan → price → solve → answer.
 
-The scalar ``flow_info_batch`` pipeline expands every scenario through
-per-flow Python objects: ``FlowRequest`` → ``Demand`` dataclasses, dict
-prunes of the capacity snapshots, per-hop ``StatMeasure`` churn for the
-answer accuracy, and dict-shaped allocation results.  At 256 hosts the
-allocation *solve* is a minority of the query cost — the expansion around
-it dominates.  This module materialises everything that is constant for
-one published snapshot (or one batch evaluation time) as contiguous
-arrays, and re-expresses the whole scenario evaluation as array kernels:
+``remos_flow_info`` (§4.2) is one computation: fixed flows are served
+first, variable flows next, and independent flows take what is left, all
+under max-min fairness, evaluated at each availability quartile (plus the
+mean).  :func:`evaluate_flow_query` is the only place it is written:
 
-:class:`SnapshotArrays` (one per :class:`~repro.core.modeler.Modeler`,
-i.e. one per published epoch — snapshots are immutable, so this is
-coherence-free):
+* **plan** — one :class:`PlannedFlow` row per flow: its resources as
+  interned integer ids, its latency, hop count and the accuracy of the
+  availability estimates along its hops;
+* **price** — per-level capacity columns over those ids;
+* **solve** — the staged chain
+  (:func:`repro.fairshare.allocator.solve_stages`) over the max-min
+  kernel, once per level;
+* **answer** — :func:`_answers` builds every :class:`FlowAnswer`.
 
-* a :class:`~repro.fairshare.vectorized.KeySpace` interning resource keys
-  to dense integer ids, and per-route **incidence rows** (CSR-style id
-  arrays mirroring ``Modeler.resources_for_route`` tuples, built once per
-  route);
-* per-route latency measures and hop counts (structural, shared across
-  every answer that names the route).
+Plan and price come from a :class:`FlowSource`, one per batch of queries
+(one evaluation time).  A single cell's source is :class:`BatchCaches`:
+routes from the epoch's :class:`SnapshotArrays`, capacities from the
+modeler's lazy ``CapacityView``\\ s.  The federation's cross-shard source
+composes shard segments and summary edges (``repro.federation.api``).
 
-:class:`BatchCaches` (one per ``flow_info``/``flow_info_batch`` call —
-one query, one evaluation time, mirroring ``CapacityView``'s pinned
-"now"):
+:class:`SnapshotArrays` is one per :class:`~repro.core.modeler.Modeler`,
+i.e. one per published epoch (snapshots are immutable, so it is
+coherence-free): it interns resource keys and memoises every route's id
+row, latency and hop count for all the queries against that epoch.
 
-* per-level **capacity vectors** indexed by resource id, gathered lazily
-  from the same ``CapacityView``/dict snapshots the scalar path reads
-  (values bit-identical by construction);
-* a per-direction / per-route **accuracy memo** so the batch pays the
-  ``available_bandwidth`` StatMeasure arithmetic once per direction
-  instead of once per hop × flow × scenario.
-
-:func:`evaluate_flow_query` then mirrors ``Remos._evaluate_flow_query``
-step for step — same validation order, same staged fixed → variable →
-independent chaining, same per-level ``fairshare.allocate`` spans — with
-the filling loop delegated to :func:`repro.fairshare.vectorized.fill`.
-Answers are **bit-identical** to the scalar path (differentially fuzzed
-in ``tests/fairshare/test_vectorized_maxmin.py`` and gated in
-``benchmarks/bench_ablation_scale.py``); the scalar path remains the
-oracle and the no-numpy fallback.
+Answers are bit-identical to the scalar evaluator this pipeline replaced
+(frozen in ``tests/core/_oracle_flow.py``; see the differential suites).
 """
 
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Hashable
+from functools import partial
+from typing import TYPE_CHECKING, Hashable, NamedTuple
 
-from repro import obs
+import numpy as np
+
 from repro.core.flows import Flow, FlowAnswer, FlowInfoResult, MulticastFlow
 from repro.core.timeframe import Timeframe
-from repro.fairshare import vectorized as _vectorized
-from repro.fairshare.maxmin import _EPS
-from repro.fairshare.vectorized import HAVE_NUMPY, KeySpace
+from repro.fairshare.allocator import CLASSES, fixed_satisfied, solve_stages, stage_arrays
+from repro.fairshare.vectorized import KeySpace
 from repro.stats import StatMeasure
 from repro.util.errors import QueryError
-
-if HAVE_NUMPY:
-    import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.modeler import Modeler
 
+# Quantiles at which flow allocations are evaluated, pessimistic first.
 _LEVELS = ("minimum", "q1", "median", "q3", "maximum")
+#: Every capacity level a query is solved at.
+SOLVE_LEVELS = (*_LEVELS, "mean")
+
+
+class PlannedFlow(NamedTuple):
+    """The plan step's row for one flow."""
+
+    #: Interned resource ids, one per occurrence.
+    row: np.ndarray
+    latency: StatMeasure
+    hop_count: int
+    #: Worst availability accuracy along the flow's hops.
+    accuracy: float
+
+
+class _Route(NamedTuple):
+    row: np.ndarray
+    latency: StatMeasure
+    hops: tuple
+
+
+def endpoints_of(flow) -> tuple[str, ...]:
+    """Every node a flow names: its source, then its receiver(s)."""
+    if isinstance(flow, MulticastFlow):
+        return (flow.src, *flow.dsts)
+    return (flow.src, flow.dst)
+
+
+def _reject_loopback(flow) -> None:
+    receivers = flow.dsts if isinstance(flow, MulticastFlow) else (flow.dst,)
+    if flow.src in receivers:
+        raise QueryError(
+            f"loopback flow {flow.src}->{flow.dst}: a flow's source cannot "
+            "be one of its destinations"
+        )
 
 
 class SnapshotArrays:
@@ -79,17 +101,15 @@ class SnapshotArrays:
     documents for the route memo).
     """
 
-    __slots__ = ("_modeler", "_structure", "_lock", "keyspace", "_rows", "_route_static")
+    __slots__ = ("_modeler", "_structure", "_lock", "keyspace", "_routes")
 
     def __init__(self, modeler: "Modeler"):
         self._modeler = modeler
         self._structure = modeler.view.structure_generation
         self._lock = threading.Lock()
         self.keyspace = KeySpace()
-        #: (src, dst) -> int64 id row mirroring ``resources_for_route``.
-        self._rows: dict[tuple[str, str], "np.ndarray"] = {}
-        #: (src, dst) -> (latency StatMeasure, hop_count); structural.
-        self._route_static: dict[tuple[str, str], tuple[StatMeasure, int]] = {}
+        #: (src, dst) or (src, dsts) -> its _Route.
+        self._routes: dict[tuple, _Route] = {}
 
     def sync(self) -> None:
         """Drop route-derived state if the topology changed in place."""
@@ -97,43 +117,43 @@ class SnapshotArrays:
         if structure != self._structure:
             with self._lock:
                 if structure != self._structure:
-                    self._rows = {}
-                    self._route_static = {}
+                    self._routes = {}
                     self._structure = structure
 
-    def route_row(self, src: str, dst: str) -> "np.ndarray":
-        """The interned id row for the (src, dst) route."""
-        key = (src, dst)
-        row = self._rows.get(key)
-        if row is None:
-            resources = self._modeler.resources_for_route(src, dst)
-            with self._lock:
-                row = self._rows.get(key)
-                if row is None:
-                    row = self.keyspace.intern_row(resources)
-                    self._rows[key] = row
-        return row
-
-    def route_static(self, src: str, dst: str) -> tuple[StatMeasure, int]:
-        """Shared latency measure + hop count for the (src, dst) route."""
-        key = (src, dst)
-        entry = self._route_static.get(key)
+    def route(self, flow) -> _Route:
+        """The interned id row, latency and hops of *flow*'s route or tree."""
+        multicast = isinstance(flow, MulticastFlow)
+        key = (flow.src, flow.dsts if multicast else flow.dst)
+        entry = self._routes.get(key)
         if entry is None:
-            route = self._modeler.routing.route(src, dst)
+            modeler = self._modeler
+            if multicast:
+                dsts = list(flow.dsts)
+                tree = modeler.routing.multicast_tree(flow.src, dsts)
+                resources = modeler.resources_for_tree(flow.src, dsts)
+                latency, hops = tree.max_latency, tree.hops
+            else:
+                path = modeler.routing.route(flow.src, flow.dst)
+                resources = modeler.resources_for_route(flow.src, flow.dst)
+                latency, hops = path.latency, path.hops
             with self._lock:
-                entry = self._route_static.get(key)
+                entry = self._routes.get(key)
                 if entry is None:
-                    entry = (StatMeasure.constant(route.latency), route.hop_count)
-                    self._route_static[key] = entry
+                    entry = _Route(
+                        self.keyspace.intern_row(resources),
+                        StatMeasure.constant(latency),
+                        tuple(hops),
+                    )
+                    self._routes[key] = entry
         return entry
 
 
 class _LevelCache:
     """One availability level's capacities as id-indexed arrays.
 
-    ``values[i]``/``present[i]`` mirror ``snapshot[keyspace.keys[i]]`` /
-    ``keyspace.keys[i] in snapshot`` exactly; slots are filled on first
-    gather (``known``) so a batch touches each resource once per level.
+    ``values[i]``/``present[i]`` hold the level's price of
+    ``keyspace.keys[i]`` and whether it has one; slots are filled on first
+    gather (``known``) so a batch prices each resource once per level.
     """
 
     __slots__ = ("values", "present", "known")
@@ -151,14 +171,14 @@ class _LevelCache:
             new[: len(old)] = old
             setattr(self, name, new)
 
-    def gather(self, ids: "np.ndarray", keys: list, snapshot) -> tuple:
+    def gather(self, ids: np.ndarray, keys: list, price) -> tuple:
         """``(values[ids], present[ids])`` for sorted global *ids*."""
         if ids.size and int(ids[-1]) >= len(self.values):
             self._grow(int(ids[-1]) + 1)
         known = self.known
         for ident in ids[~known[ids]].tolist():
             try:
-                self.values[ident] = snapshot[keys[ident]]
+                self.values[ident] = price(keys[ident])
                 self.present[ident] = True
             except KeyError:
                 pass
@@ -166,294 +186,204 @@ class _LevelCache:
         return self.values[ids], self.present[ids]
 
 
-class BatchCaches:
-    """Dynamic per-call caches: one query (or batch), one evaluation time.
+class FlowSource:
+    """The plan and price steps for one batch of flow queries.
 
-    Never kept across calls — the underlying ``CapacityView`` snapshots
-    pin "now" at construction, and so do these.
+    Subclasses implement :meth:`plan` and :meth:`price`; every resource
+    id a plan names is interned in ``keyspace``.  One source serves one
+    evaluation time, so it is never kept across calls.
     """
 
-    __slots__ = (
-        "arrays",
-        "valid_endpoints",
-        "_modeler",
-        "_timeframe",
-        "_levels",
-        "_dir_acc",
-        "_route_acc",
-    )
-
-    def __init__(self, modeler: "Modeler", timeframe: Timeframe):
-        self.arrays = (
-            modeler.snapshot_arrays()
-            if HAVE_NUMPY and _vectorized.vectorization_enabled()
-            else None
-        )
-        #: Endpoints already validated as known compute nodes this batch.
-        self.valid_endpoints: set[str] = set()
-        self._modeler = modeler
-        self._timeframe = timeframe
+    def __init__(self, keyspace: KeySpace):
+        self.keyspace = keyspace
         self._levels: dict[str, _LevelCache] = {}
-        self._dir_acc: dict[Hashable, float] = {}
-        self._route_acc: dict[tuple[str, str], float] = {}
 
-    def usable(self, fixed: list, variable: list, independent: list) -> bool:
-        """Should this query run through the array evaluator?"""
-        if self.arrays is None:
-            return False
-        total = len(fixed) + len(variable) + len(independent)
-        if not _vectorized._use_vectorized(total):
-            return False
-        return not any(
-            isinstance(flow, MulticastFlow)
-            for flow in (*fixed, *variable, *independent)
-        )
+    def validate(self, flows: list) -> None:
+        """Check a whole scenario's endpoints before anything is planned."""
 
-    def level_values(self, level: str, snapshot, ids: "np.ndarray") -> tuple:
-        """Capacity values + presence for *ids* at one availability level."""
+    def plan(self, flow) -> PlannedFlow:
+        """The plan row of one (validated, non-loopback) flow."""
+        raise NotImplementedError
+
+    def price(self, level: str, key: Hashable) -> float:
+        """Capacity of *key* at *level*; KeyError when it is unconstrained."""
+        raise NotImplementedError
+
+    def level_values(self, level: str, ids: np.ndarray) -> tuple:
+        """Capacity values + presence for sorted *ids* at one level."""
         cache = self._levels.get(level)
         if cache is None:
-            cache = self._levels[level] = _LevelCache(len(self.arrays.keyspace))
-        return cache.gather(ids, self.arrays.keyspace.keys, snapshot)
+            cache = self._levels[level] = _LevelCache(len(self.keyspace))
+        return cache.gather(ids, self.keyspace.keys, partial(self.price, level))
 
-    def route_accuracy(self, src: str, dst: str) -> float:
-        """min over the route's directions of the availability accuracy.
 
-        Reads the same ``available_bandwidth`` measures the scalar
-        ``_query_accuracy`` loop reads — each direction once per batch
-        instead of once per crossing flow.
-        """
-        key = (src, dst)
+class BatchCaches(FlowSource):
+    """A single cell's source: one ``flow_info``/``flow_info_batch`` call.
+
+    Routes come from the epoch's :class:`SnapshotArrays`; capacities from
+    the modeler's lazy ``CapacityView`` per level, which pin "now" at
+    construction.  Endpoint checks and route accuracies are memoised for
+    the batch, so each link direction's availability is read once.
+    """
+
+    def __init__(self, modeler: "Modeler", timeframe: Timeframe):
+        self.arrays = modeler.snapshot_arrays()
+        super().__init__(self.arrays.keyspace)
+        self.modeler = modeler
+        self.timeframe = timeframe
+        self.views = {
+            level: modeler.capacity_view(timeframe, quantile=level)
+            for level in SOLVE_LEVELS
+        }
+        self._valid: set[str] = set()
+        self._dir_acc: dict[Hashable, float] = {}
+        self._route_acc: dict[tuple, float] = {}
+
+    def price(self, level: str, key: Hashable) -> float:
+        return self.views[level][key]
+
+    def validate(self, flows: list) -> None:
+        topology = self.modeler.view.topology
+        valid = self._valid
+        for flow in flows:
+            for endpoint in endpoints_of(flow):
+                if endpoint in valid:
+                    continue
+                if not topology.has_node(endpoint):
+                    raise QueryError(f"unknown flow endpoint {endpoint!r}")
+                if not topology.node(endpoint).is_compute:
+                    raise QueryError(
+                        f"flow endpoints must be compute nodes; {endpoint!r} is not"
+                    )
+                valid.add(endpoint)
+
+    def plan(self, flow) -> PlannedFlow:
+        route = self.arrays.route(flow)
+        key = (flow.src, flow.dst)
         accuracy = self._route_acc.get(key)
         if accuracy is None:
             accuracy = 1.0
             dirs = self._dir_acc
-            for hop in self._modeler.routing.route(src, dst).hops:
+            for hop in route.hops:
                 hop_acc = dirs.get(hop.key)
                 if hop_acc is None:
-                    measure = self._modeler.available_bandwidth(hop, self._timeframe)
+                    measure = self.modeler.available_bandwidth(hop, self.timeframe)
                     hop_acc = dirs[hop.key] = measure.accuracy
                 accuracy = min(accuracy, hop_acc)
             self._route_acc[key] = accuracy
-        return accuracy
+        return PlannedFlow(route.row, route.latency, len(route.hops), accuracy)
 
 
 def evaluate_flow_query(
-    modeler: "Modeler",
+    source: FlowSource,
     fixed: list[Flow],
     variable: list[Flow],
     independent: list[Flow],
     timeframe: Timeframe,
-    snapshots,
-    caches: BatchCaches,
 ) -> FlowInfoResult:
-    """Array-native mirror of ``Remos._evaluate_flow_query``.
+    """Answer one flow-query scenario: plan → price → solve → answer."""
+    classes = dict(zip(CLASSES, (list(fixed), list(variable), list(independent))))
 
-    Same validation, same staged chaining, same spans, bit-identical
-    answers; the caller dispatches here only when
-    :meth:`BatchCaches.usable` said yes (numpy live, unicast flows,
-    problem large enough to win).
-    """
-    topology = modeler.view.topology
-    valid = caches.valid_endpoints
-    for flow in (*fixed, *variable, *independent):
-        for endpoint in (flow.src, flow.dst):
-            if endpoint in valid:
-                continue
-            if not topology.has_node(endpoint):
-                raise QueryError(f"unknown flow endpoint {endpoint!r}")
-            if not topology.node(endpoint).is_compute:
-                raise QueryError(
-                    f"flow endpoints must be compute nodes; {endpoint!r} is not"
-                )
-            valid.add(endpoint)
-
-    arrays = caches.arrays
-    keyspace = arrays.keyspace
-
-    classes = (
-        ("fixed", fixed),
-        ("variable", variable),
-        ("independent", independent),
-    )
+    # Plan.
+    source.validate([flow for flows in classes.values() for flow in flows])
     labels: dict[str, list[str]] = {}
-    rows: dict[str, list] = {}
-    for klass, flows in classes:
+    plans: dict[str, list[PlannedFlow]] = {}
+    for klass, flows in classes.items():
         labels[klass] = [flow.label(index, klass) for index, flow in enumerate(flows)]
-        rows[klass] = [arrays.route_row(flow.src, flow.dst) for flow in flows]
-    all_ids = [*labels["fixed"], *labels["variable"], *labels["independent"]]
-    if len(set(all_ids)) != len(all_ids):
+        plans[klass] = []
+        for flow in flows:
+            _reject_loopback(flow)
+            plans[klass].append(source.plan(flow))
+    all_labels = [label for group in labels.values() for label in group]
+    if len(set(all_labels)) != len(all_labels):
         raise QueryError("flow labels must be unique within a query")
-
-    # Stage demand columns: the same weight/cap values the FlowRequest →
-    # Demand chain carries (fixed: equal weight capped at the request;
-    # variable: weight = relative requirement; independent: equal weight).
-    stages: list[tuple[str, "_vectorized.DemandArrays"]] = []
-    if fixed:
-        stages.append(
-            (
-                "fixed",
-                _vectorized.DemandArrays.from_columns(
-                    np.ones(len(fixed), dtype=np.float64),
-                    np.fromiter(
-                        (flow.requested for flow in fixed),
-                        dtype=np.float64,
-                        count=len(fixed),
-                    ),
-                    rows["fixed"],
-                    keyspace,
-                ),
-            )
+    stages = {
+        klass: stage_arrays(
+            klass,
+            [flow.requested for flow in flows],
+            [flow.cap for flow in flows],
+            [plan.row for plan in plans[klass]],
+            source.keyspace,
         )
-    if variable:
-        stages.append(
-            (
-                "variable",
-                _vectorized.DemandArrays.from_columns(
-                    np.fromiter(
-                        (
-                            flow.requested if flow.requested > 0 else 1.0
-                            for flow in variable
-                        ),
-                        dtype=np.float64,
-                        count=len(variable),
-                    ),
-                    np.fromiter(
-                        (flow.cap for flow in variable),
-                        dtype=np.float64,
-                        count=len(variable),
-                    ),
-                    rows["variable"],
-                    keyspace,
-                ),
-            )
-        )
-    if independent:
-        stages.append(
-            (
-                "independent",
-                _vectorized.DemandArrays.from_columns(
-                    np.ones(len(independent), dtype=np.float64),
-                    np.fromiter(
-                        (flow.cap for flow in independent),
-                        dtype=np.float64,
-                        count=len(independent),
-                    ),
-                    rows["independent"],
-                    keyspace,
-                ),
-            )
-        )
+        for klass, flows in classes.items()
+        if flows
+    }
 
-    stage_by_class = dict(stages)
-
-    # The union of referenced resource ids (the scalar path's pruned key
-    # set — membership only; allocation results don't depend on order).
-    ref = [stage.res_ids for _, stage in stages]
+    # Price and solve, once per availability level, over the union of the
+    # resources the flows cross (uncrossed ones never move an allocation).
+    ref = [stage.res_ids for stage in stages.values()]
     uniq = np.unique(np.concatenate(ref)) if ref else np.empty(0, dtype=np.int64)
     size = int(uniq[-1]) + 1 if uniq.size else 0
-
-    # Solve every availability level through the staged pipeline.
-    rates: dict[tuple[str, str], "np.ndarray"] = {}
-    median_bottleneck: dict[str, "np.ndarray"] = {}
-    median_satisfied = None
-    for level in (*_LEVELS, "mean"):
-        values, present = caches.level_values(level, snapshots[level], uniq)
-        # Entry clamp, matching the scalar ``max(0.0, float(cap))``
-        # including its NaN semantics (max returns 0.0 for NaN input).
+    solved: dict[str, dict[str, tuple]] = {}
+    for level in SOLVE_LEVELS:
+        values, present = source.level_values(level, uniq)
+        # Entry clamp, with Python's ``max(0.0, cap)`` NaN semantics.
         clamped = np.maximum(0.0, values)
         clamped[np.isnan(values)] = 0.0
         remaining = np.zeros(size, dtype=np.float64)
-        present_g = np.zeros(size, dtype=bool)
+        present_ids = np.zeros(size, dtype=bool)
         if uniq.size:
             remaining[uniq] = np.where(present, clamped, 0.0)
-            present_g[uniq] = present
-        with obs.span("fairshare.allocate") as sp:
-            if sp:
-                sp.set(
-                    fixed=len(fixed),
-                    variable=len(variable),
-                    independent=len(independent),
-                    resources=int(present.sum()),
-                )
-            for klass, stage in stages:
-                local_ids = stage.res_ids
-                local_remaining = remaining[local_ids]
-                local_present = present_g[local_ids]
-                # Saturation thresholds are relative to this stage's
-                # entry-clamped limits — each stage sees capacities net
-                # of the earlier stages' allocations, as in the scalar
-                # fixed → variable → independent chain.
-                thresholds = _EPS * np.maximum(local_remaining, 1.0)
-                stage_rates, bottleneck, _ = _vectorized.fill(
-                    stage, local_remaining, local_present, thresholds
-                )
-                remaining[local_ids] = local_remaining
-                rates[(klass, level)] = stage_rates
-                if level == "median":
-                    median_bottleneck[klass] = bottleneck
-                    if klass == "fixed":
-                        requested = np.fromiter(
-                            (flow.requested for flow in fixed),
-                            dtype=np.float64,
-                            count=len(fixed),
-                        )
-                        median_satisfied = stage_rates >= requested * (1.0 - 1e-9)
+            present_ids[uniq] = present
+        solved[level] = solve_stages(stages, remaining, present_ids)
 
-    # Overall answer accuracy: worst accuracy among the directions any
-    # queried flow traverses (same running-min the scalar loop computes).
+    # Answer.  One accuracy for the whole answer: the worst among the
+    # directions any queried flow traverses.
     accuracy = 1.0
-    for _, flows in classes:
-        for flow in flows:
-            accuracy = min(accuracy, caches.route_accuracy(flow.src, flow.dst))
+    for group in plans.values():
+        for plan in group:
+            accuracy = min(accuracy, plan.accuracy)
+    answers = {klass: [] for klass in CLASSES}
+    for klass, stage in stages.items():
+        flows = classes[klass]
+        median_rates, bottleneck, _ = solved["median"][klass]
+        satisfied = (
+            fixed_satisfied(median_rates, [flow.requested for flow in flows]).tolist()
+            if klass == "fixed"
+            else None
+        )
+        answers[klass] = _answers(
+            flows,
+            labels[klass],
+            plans[klass],
+            [solved[level][klass][0] for level in _LEVELS],
+            solved["mean"][klass][0].tolist(),
+            [None if r < 0 else stage.res_keys[r] for r in bottleneck.tolist()],
+            satisfied,
+            accuracy,
+        )
+    return FlowInfoResult(timeframe=timeframe, **answers)
 
-    def answers(klass: str, flows: list[Flow]) -> list[FlowAnswer]:
-        if not flows:
-            return []
-        level_rates = [rates[(klass, level)] for level in _LEVELS]
-        stack = np.stack(level_rates)
-        if np.isnan(stack).any():  # pragma: no cover - NaN rates are exotic
-            # Python sorted's NaN ordering differs from np.sort's; take
-            # the scalar path's exact per-flow sort in that case.
-            quartile_rows = [
-                sorted(float(column[i]) for column in level_rates)
-                for i in range(len(flows))
-            ]
-        else:
-            # Columnwise ascending sort == per-flow sorted() for NaN-free
-            # floats; .tolist() bulk-converts to Python floats, exactly
-            # the values the scalar answer dicts carry.
-            quartile_rows = np.sort(stack, axis=0).T.tolist()
-        mean_rates = rates[(klass, "mean")].tolist()
-        bottleneck = median_bottleneck[klass].tolist()
-        res_keys = stage_by_class[klass].res_keys
-        klass_labels = labels[klass]
-        fixed_klass = klass == "fixed" and median_satisfied is not None
-        n_levels = len(_LEVELS)
-        measure = StatMeasure.presorted
-        result = []
-        for i, flow in enumerate(flows):
-            bandwidth = measure(
-                quartile_rows[i], mean_rates[i], n_levels, accuracy
-            )
-            latency, hop_count = arrays.route_static(flow.src, flow.dst)
-            r = bottleneck[i]
-            result.append(
-                FlowAnswer(
-                    flow=flow,
-                    label=klass_labels[i],
-                    bandwidth=bandwidth,
-                    latency=latency,
-                    hop_count=hop_count,
-                    satisfied=bool(median_satisfied[i]) if fixed_klass else None,
-                    bottleneck=None if r < 0 else res_keys[r],
-                )
-            )
-        return result
 
-    return FlowInfoResult(
-        timeframe=timeframe,
-        fixed=answers("fixed", fixed),
-        variable=answers("variable", variable),
-        independent=answers("independent", independent),
-    )
+def _answers(
+    flows, labels, plans, level_rates, mean_rates, bottlenecks, satisfied, accuracy
+) -> list[FlowAnswer]:
+    """Every :class:`FlowAnswer` of one flow class."""
+    stack = np.stack(level_rates)
+    if np.isnan(stack).any():  # pragma: no cover - NaN rates are exotic
+        # Python sorted's NaN ordering differs from np.sort's; sort each
+        # flow's rates the way a per-flow sorted() would.
+        quartile_rows = [
+            sorted(float(column[i]) for column in level_rates)
+            for i in range(len(flows))
+        ]
+    else:
+        # Rates at rising availability are monotone in common cases;
+        # sorting guards the multi-bottleneck exception so the StatMeasure
+        # invariant holds.  Columnwise np.sort == per-flow sorted() for
+        # NaN-free floats, and .tolist() yields Python floats.
+        quartile_rows = np.sort(stack, axis=0).T.tolist()
+    measure = StatMeasure.presorted
+    n_levels = len(_LEVELS)
+    return [
+        FlowAnswer(
+            flow=flow,
+            label=labels[i],
+            bandwidth=measure(quartile_rows[i], mean_rates[i], n_levels, accuracy),
+            latency=plans[i].latency,
+            hop_count=plans[i].hop_count,
+            satisfied=None if satisfied is None else satisfied[i],
+            bottleneck=bottlenecks[i],
+        )
+        for i, flow in enumerate(flows)
+    ]

@@ -24,7 +24,6 @@ from repro.fairshare.maxmin import Demand, MaxMinProblem, MaxMinResult, weighted
 from repro.fairshare.allocator import (
     FlowRequest,
     StagedAllocation,
-    StagedProblem,
     allocate_three_stage,
 )
 from repro.fairshare.admission import admissible, admission_report
@@ -36,7 +35,6 @@ __all__ = [
     "weighted_max_min",
     "FlowRequest",
     "StagedAllocation",
-    "StagedProblem",
     "allocate_three_stage",
     "admissible",
     "admission_report",

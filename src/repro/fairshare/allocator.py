@@ -10,7 +10,10 @@ timeframe)`` satisfies the flow classes in strict priority order (§4.2):
 3. **independent** flows — absorb whatever remains (equal-weight max-min).
 
 Each later stage sees capacities reduced by the earlier stages' allocations.
-This module is topology-agnostic: callers supply each flow's resource keys
+:func:`solve_stages` is that chain, written once: the flow-query pipeline
+(:mod:`repro.core.snaparrays`) runs it per availability level, and
+:func:`allocate_three_stage` is its one-shot dict-in/dict-out form.  This
+module is topology-agnostic: callers supply each flow's resource keys
 (directed links + finite node crossbars); :mod:`repro.core` derives those
 from routes.
 """
@@ -20,9 +23,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Hashable
 
+import numpy as np
+
 from repro import obs
-from repro.fairshare.maxmin import Demand, MaxMinProblem, MaxMinResult
+from repro.fairshare.maxmin import _EPS
+from repro.fairshare.vectorized import DemandArrays, KeySpace, fill
 from repro.util.errors import ConfigurationError
+
+#: The flow classes in allocation priority order.
+CLASSES = ("fixed", "variable", "independent")
 
 
 @dataclass(frozen=True)
@@ -46,6 +55,8 @@ class FlowRequest:
             raise ConfigurationError(
                 f"flow {self.flow_id!r}: requested bandwidth must be non-negative"
             )
+        if self.cap < 0:
+            raise ConfigurationError(f"flow {self.flow_id!r}: cap must be non-negative")
 
 
 @dataclass
@@ -73,125 +84,56 @@ class StagedAllocation:
         return all(self.satisfied.values())
 
 
-def _merge(result: MaxMinResult, into: StagedAllocation) -> dict[Hashable, float]:
-    """Fold a stage's result into the combined allocation; return new capacities."""
-    into.rates.update(result.rates)
-    into.bottlenecks.update(result.bottlenecks)
-    return result.residual_capacity
+def stage_arrays(klass: str, requested, caps, rows, keyspace: KeySpace) -> DemandArrays:
+    """One stage's demands from its flows' requests, caps and resource rows.
 
-
-class StagedProblem:
-    """A prepared three-stage pipeline, solvable at many load levels.
-
-    One Remos ``flow_info`` query evaluates the identical flow set at six
-    capacity snapshots (five quartile levels plus the mean), and a batched
-    scenario sweep evaluates many flow sets at each.  Preparing the stage
-    :class:`MaxMinProblem` instances once amortises demand validation and
-    the crossing-index build across all those solves; each :meth:`solve`
-    still records its own ``fairshare.allocate`` span.
+    Fixed flows share equally, capped at their request; variable flows
+    weigh by their relative requirement (1 when none is given), capped at
+    ``cap``; independent flows share equally, capped at ``cap``.
     """
+    requested = np.asarray(requested, dtype=np.float64)
+    if klass == "fixed":
+        return DemandArrays(np.ones(len(requested)), requested, rows, keyspace)
+    if klass == "variable":
+        weights = np.where(requested > 0, requested, 1.0)
+    else:
+        weights = np.ones(len(requested))
+    return DemandArrays(weights, caps, rows, keyspace)
 
-    __slots__ = ("fixed", "variable", "independent", "_problems")
 
-    def __init__(
-        self,
-        fixed: list[FlowRequest] | None = None,
-        variable: list[FlowRequest] | None = None,
-        independent: list[FlowRequest] | None = None,
-    ):
-        self.fixed = list(fixed or [])
-        self.variable = list(variable or [])
-        self.independent = list(independent or [])
+def fixed_satisfied(rates, requested) -> np.ndarray:
+    """Which fixed flows were granted their full request."""
+    return rates >= np.asarray(requested, dtype=np.float64) * (1.0 - 1e-9)
 
-        all_ids = [f.flow_id for f in self.fixed + self.variable + self.independent]
-        if len(set(all_ids)) != len(all_ids):
-            raise ConfigurationError("flow_ids must be unique across all flow classes")
 
-        # Stage 1: fixed flows.  Equal weights, capped at the request —
-        # max-min among them decides who loses when they cannot all be
-        # satisfied.  Stage 2: variable flows share the remainder
-        # proportionally to their relative requirements.  Stage 3:
-        # independent flows absorb the leftovers.
-        self._problems: list[MaxMinProblem | None] = [
-            MaxMinProblem(
-                Demand(f.flow_id, f.resources, weight=1.0, cap=f.requested)
-                for f in self.fixed
+def solve_stages(
+    stages: dict[str, DemandArrays], remaining: np.ndarray, present: np.ndarray
+) -> dict[str, tuple]:
+    """The fixed → variable → independent chain at one capacity level.
+
+    *stages* maps each non-empty class to its demands, in :data:`CLASSES`
+    order, all interned in one keyspace; *remaining* (entry-clamped,
+    indexed by interned id) is drained **in place**, so each stage sees
+    the capacity the earlier stages left; *present* marks the ids that are
+    capacity-constrained.  Returns ``class -> (rates, bottleneck,
+    iterations)`` as :func:`repro.fairshare.vectorized.fill` reports them.
+    """
+    solved = {}
+    with obs.span("fairshare.allocate") as sp:
+        if sp:
+            sp.set(
+                **{klass: stages[klass].n if klass in stages else 0 for klass in CLASSES},
+                resources=int(present.sum()),
             )
-            if self.fixed
-            else None,
-            MaxMinProblem(
-                Demand(
-                    f.flow_id,
-                    f.resources,
-                    weight=f.requested if f.requested > 0 else 1.0,
-                    cap=f.cap,
-                )
-                for f in self.variable
-            )
-            if self.variable
-            else None,
-            MaxMinProblem(
-                Demand(f.flow_id, f.resources, weight=1.0, cap=f.cap)
-                for f in self.independent
-            )
-            if self.independent
-            else None,
-        ]
-
-    def resource_keys(self) -> tuple[Hashable, ...]:
-        """Every resource key referenced by any flow in any stage.
-
-        Allocation results depend only on the capacities of crossed
-        resources, so callers may prune capacity snapshots to this set
-        before :meth:`solve` without changing any rate or bottleneck.
-        Returned in deterministic first-reference order.
-        """
-        keys: dict[Hashable, None] = {}
-        for request in self.fixed + self.variable + self.independent:
-            for resource in request.resources:
-                keys.setdefault(resource, None)
-        return tuple(keys)
-
-    def solve(self, capacities: dict[Hashable, float]) -> StagedAllocation:
-        """Run the fixed → variable → independent pipeline on *capacities*."""
-        with obs.span("fairshare.allocate") as sp:
-            if sp:
-                sp.set(
-                    fixed=len(self.fixed),
-                    variable=len(self.variable),
-                    independent=len(self.independent),
-                    resources=len(capacities),
-                )
-            return self._solve(capacities)
-
-    def _solve(self, capacities: dict[Hashable, float]) -> StagedAllocation:
-        allocation = StagedAllocation()
-        current = {key: max(0.0, float(cap)) for key, cap in capacities.items()}
-
-        fixed_problem, variable_problem, independent_problem = self._problems
-
-        if fixed_problem is not None:
-            result = fixed_problem.solve(current)
-            allocation.iterations += result.iterations
-            current = _merge(result, allocation)
-            for request in self.fixed:
-                granted = result.rates[request.flow_id]
-                allocation.satisfied[request.flow_id] = (
-                    granted >= request.requested * (1.0 - 1e-9)
-                )
-
-        if variable_problem is not None:
-            result = variable_problem.solve(current)
-            allocation.iterations += result.iterations
-            current = _merge(result, allocation)
-
-        if independent_problem is not None:
-            result = independent_problem.solve(current)
-            allocation.iterations += result.iterations
-            current = _merge(result, allocation)
-
-        allocation.residual_capacity = current
-        return allocation
+        for klass, stage in stages.items():
+            local_ids = stage.res_ids
+            local_remaining = remaining[local_ids]
+            # Saturation thresholds are relative to this stage's entry
+            # limits: capacities net of the earlier stages' allocations.
+            thresholds = _EPS * np.maximum(local_remaining, 1.0)
+            solved[klass] = fill(stage, local_remaining, present[local_ids], thresholds)
+            remaining[local_ids] = local_remaining
+    return solved
 
 
 def allocate_three_stage(
@@ -203,8 +145,54 @@ def allocate_three_stage(
     """Run the fixed → variable → independent allocation pipeline.
 
     *capacities* should already exclude background (external) traffic; the
-    Modeler subtracts measured utilization before calling this.  One-shot
-    wrapper around :class:`StagedProblem`; callers solving the same flow
-    set at several load levels should prepare the problem once.
+    Modeler subtracts measured utilization before calling this.  Resources
+    absent from *capacities* are unconstrained.
     """
-    return StagedProblem(fixed, variable, independent).solve(capacities)
+    classes = {
+        klass: list(requests or [])
+        for klass, requests in zip(CLASSES, (fixed, variable, independent))
+    }
+    all_ids = [r.flow_id for requests in classes.values() for r in requests]
+    if len(set(all_ids)) != len(all_ids):
+        raise ConfigurationError("flow_ids must be unique across all flow classes")
+
+    keyspace = KeySpace()
+    stages = {
+        klass: stage_arrays(
+            klass,
+            [r.requested for r in requests],
+            [r.cap for r in requests],
+            [keyspace.intern_row(r.resources) for r in requests],
+            keyspace,
+        )
+        for klass, requests in classes.items()
+        if requests
+    }
+    residual = {key: max(0.0, float(cap)) for key, cap in capacities.items()}
+    remaining = np.zeros(len(keyspace), dtype=np.float64)
+    present = np.zeros(len(keyspace), dtype=bool)
+    for key, value in residual.items():
+        ident = keyspace.index.get(key)
+        if ident is not None:
+            remaining[ident] = value
+            present[ident] = True
+    solved = solve_stages(stages, remaining, present)
+
+    allocation = StagedAllocation()
+    for klass, stage in stages.items():
+        rates, bottleneck, iterations = solved[klass]
+        allocation.iterations += iterations
+        requests = classes[klass]
+        for request, rate, r in zip(requests, rates.tolist(), bottleneck.tolist()):
+            allocation.rates[request.flow_id] = rate
+            allocation.bottlenecks[request.flow_id] = None if r < 0 else stage.res_keys[r]
+        if klass == "fixed":
+            granted = fixed_satisfied(rates, [r.requested for r in requests])
+            for request, ok in zip(requests, granted.tolist()):
+                allocation.satisfied[request.flow_id] = ok
+    for key in residual:
+        ident = keyspace.index.get(key)
+        if ident is not None:
+            residual[key] = float(remaining[ident])
+    allocation.residual_capacity = residual
+    return allocation

@@ -1,9 +1,8 @@
-"""Numpy water-filling kernels for :class:`~repro.fairshare.maxmin.MaxMinProblem`.
+"""The max-min water-filling kernel, as array operations.
 
-The scalar filling loop in :mod:`repro.fairshare.maxmin` is pure-Python
-dict arithmetic: fine for a handful of flows, but the dominant cost of a
-256-host ``flow_info_batch`` sweep (hundreds of demands × six load levels
-× three stages).  This module re-expresses one filling step as a fixed
+Progressive filling raises every unfrozen demand's rate in proportion to
+its weight until a resource saturates or a demand reaches its cap (see
+:mod:`repro.fairshare.maxmin`).  One filling step here is a fixed
 sequence of array operations —
 
 * per-resource active weight sums via ``np.bincount`` over a CSR-style
@@ -13,112 +12,43 @@ sequence of array operations —
 * rate/remaining updates and saturation detection as element-wise kernels
   over only the unfrozen demands and still-pressured resources —
 
-while preserving the scalar path's answers **bit for bit**.  That holds
-because every float operation is performed by the same IEEE-754 rule in
-the same order the scalar loop uses:
+and the answers are **bit-identical** to the pure-Python filling loop
+this kernel replaced, because every float operation is performed by the
+same IEEE-754 rule in the same order that loop used:
 
 * ``np.bincount`` accumulates ``out[id[i]] += w[i]`` sequentially in entry
   order, and the entry list is laid out in (demand order, position) order
-  — exactly the order ``MaxMinProblem._weight_sum`` adds weights.  Masked
-  (frozen) entries contribute ``+0.0``, which never changes the bits of a
-  running sum of positive weights;
-* rebuilding every weight sum per step is bitwise identical to the scalar
-  loop's incremental maintenance (that is the scalar loop's own documented
-  invariant vs the full rebuild);
+  — exactly the order the loop added weights.  Masked (frozen) entries
+  contribute ``+0.0``, which never changes the bits of a running sum of
+  positive weights;
+* rebuilding every weight sum per step is bitwise identical to the loop's
+  incremental maintenance (that was the loop's own documented invariant
+  vs the full rebuild);
 * ``min`` reductions are order-insensitive for the NaN-free operands that
   can occur here, divisions/multiplications are element-wise IEEE doubles,
   and the eager per-step rate update performs the same multiply-add
-  sequence the scalar loop's deferred ``materialise`` replay performs;
+  sequence the loop's deferred rate replay performed;
 * multi-saturation bottleneck attribution orders resources by their first
-  active incidence entry, which equals the scalar ``_pressure_rank``
-  (entry order **is** (demand order, position) lexicographic order).
+  active incidence entry, which equals the loop's rebuilt-pressure-index
+  order (entry order **is** (demand order, position) lexicographic order).
 
-The differential fuzz suite (``tests/fairshare/test_vectorized_maxmin.py``)
-asserts exact equality — rates, bottlenecks, residuals, iteration counts —
-against the scalar oracle on adversarial demand sets.
-
-Enabling and disabling
-----------------------
-numpy is detected at import; without it every solve silently uses the
-scalar path.  The ``REPRO_VECTORIZE`` environment variable overrides the
-default: ``0/off/false/no`` disables vectorization entirely, ``1/on/
-true/yes/force`` vectorizes every solve regardless of size, and unset
-means *auto* — vectorize when numpy is present and the problem has at
-least :data:`MIN_DEMANDS` demands (tiny problems solve faster in pure
-Python than the array setup costs).  :func:`set_vectorized` applies the
-same tri-state programmatically (tests, CLI); the live decision is
-exported as the ``remos_vectorized`` gauge via ``Remos.telemetry()``.
+The frozen loop lives on as the differential oracle in
+``tests/core/_oracle_flow.py``; ``tests/fairshare/test_vectorized_maxmin.py``
+fuzzes exact equality — rates, bottlenecks, residuals, iteration counts —
+against it on adversarial demand sets.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Hashable, Mapping
+
+import numpy as np
 
 from repro.util.errors import ConfigurationError
 
-try:  # pragma: no cover - exercised implicitly by every test run
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - the container always has numpy
-    np = None
-    HAVE_NUMPY = False
-
-#: Below this many demands the scalar loop wins: array allocation and
-#: ``np.unique`` setup cost more than a few dict iterations.  Measured
-#: crossover on the reference container is ~8-16 demands; see
-#: docs/PERFORMANCE.md §8.
-MIN_DEMANDS = 12
-
-_FALSE_WORDS = {"0", "off", "false", "no"}
-_TRUE_WORDS = {"1", "on", "true", "yes", "force"}
-
-#: Solve counters by path, exported through ``Remos.telemetry()``.
-counters = {"vectorized_solves": 0, "scalar_solves": 0}
-
-
-def _env_mode() -> bool | None:
-    raw = os.environ.get("REPRO_VECTORIZE")
-    if raw is None:
-        return None
-    word = raw.strip().lower()
-    if word in _FALSE_WORDS:
-        return False
-    if word in _TRUE_WORDS:
-        return True
-    return None
-
-
-#: Tri-state switch: ``None`` = auto, ``True`` = always, ``False`` = never.
-_mode: bool | None = _env_mode()
-
-
-def set_vectorized(mode: bool | None) -> None:
-    """Force vectorization on/off, or ``None`` to restore auto-detection.
-
-    ``True`` bypasses the :data:`MIN_DEMANDS` threshold (every solve uses
-    the array kernel); ``False`` forces the scalar path even with numpy
-    installed; ``None`` re-reads ``REPRO_VECTORIZE``/auto.
-    """
-    global _mode
-    _mode = _env_mode() if mode is None else mode
-
-
-def vectorization_enabled() -> bool:
-    """True when the array kernels are live for large problems."""
-    if not HAVE_NUMPY:
-        return False
-    return _mode is not False
-
-
-def _use_vectorized(n_demands: int) -> bool:
-    """The per-solve dispatch decision."""
-    if not HAVE_NUMPY or _mode is False:
-        return False
-    if _mode is True:
-        return True
-    return n_demands >= MIN_DEMANDS
+#: Kernel runs, exported through ``Remos.telemetry()`` and the
+#: ``remos_vectorized_solves_total`` gauge.
+counters = {"vectorized_solves": 0}
 
 
 class KeySpace:
@@ -155,16 +85,15 @@ class KeySpace:
 
 
 class DemandArrays:
-    """The frozen array form of one :class:`MaxMinProblem`'s demand set.
+    """The frozen array form of one demand set (one allocation stage).
 
-    Built once per problem (lazily, on the first vectorized solve) and
-    reused across every capacity snapshot the problem is solved against —
-    the same amortisation contract as the scalar crossing index.
+    Built once per flow set and reused across every capacity snapshot it
+    is solved against.  *weights*/*caps* are float columns, *rows* one
+    interned-id array per demand (ids from *keyspace*).
 
     The incidence entry list pairs ``ent_dem[i]`` (demand index) with
     ``ent_res[i]`` (interned resource id), laid out in (demand order,
-    position-within-tuple) order — one entry per occurrence, exactly
-    mirroring the scalar ``_crossing`` lists.
+    position-within-row) order — one entry per occurrence.
     """
 
     __slots__ = (
@@ -184,42 +113,13 @@ class DemandArrays:
         "n_init_active",
     )
 
-    def __init__(self, demands, keyspace: KeySpace | None = None, rows=None):
-        n = len(demands)
-        weights = np.empty(n, dtype=np.float64)
-        caps = np.empty(n, dtype=np.float64)
-        if rows is None:
-            keyspace = KeySpace()
-            rows = []
-            for i, demand in enumerate(demands):
-                weights[i] = demand.weight
-                caps[i] = demand.cap
-                rows.append(keyspace.intern_row(demand.resources))
-        else:
-            assert keyspace is not None
-            for i, demand in enumerate(demands):
-                weights[i] = demand.weight
-                caps[i] = demand.cap
-        self._build(weights, caps, rows, keyspace)
-
-    @classmethod
-    def from_columns(cls, weights, caps, rows, keyspace: KeySpace) -> "DemandArrays":
-        """Build directly from float columns + interned rows (batch path).
-
-        The batched ``flow_info`` evaluator derives weights/caps straight
-        from :class:`~repro.core.flows.Flow` fields — same values the
-        staged :class:`~repro.fairshare.allocator.FlowRequest` →
-        :class:`~repro.fairshare.maxmin.Demand` chain would carry — so no
-        per-scenario dataclass objects are materialised.
-        """
-        self = cls.__new__(cls)
+    def __init__(self, weights, caps, rows, keyspace: KeySpace):
         self._build(
             np.asarray(weights, dtype=np.float64),
             np.asarray(caps, dtype=np.float64),
             rows,
             keyspace,
         )
-        return self
 
     def _build(self, weights, caps, rows, keyspace: KeySpace) -> None:
         from repro.fairshare.maxmin import _RATE_FLOOR
@@ -257,8 +157,8 @@ def fill(arrays: DemandArrays, remaining, present, thresholds):
     entry-clamped relative saturation cutoffs) index ``arrays.res_ids``
     positionally.  Returns ``(rates, bottleneck, iterations)`` where
     ``bottleneck[i]`` is the local resource index that froze demand *i*
-    (−1 = demand-limited).  Bit-identical to the scalar loop — see the
-    module docstring for the argument.
+    (−1 = demand-limited).  See the module docstring for why the answers
+    are bit-identical to the pure-Python loop.
     """
     from repro.fairshare.maxmin import _EPS
 
@@ -316,8 +216,8 @@ def fill(arrays: DemandArrays, remaining, present, thresholds):
         # Eager rate update, full-vector: frozen demands add
         # ``theta * +0.0`` to a rate that is never -0.0 — a bit-preserving
         # no-op — while active demands see the same multiply-add sequence
-        # as the scalar loop (eager for capped, deferred-replay for
-        # uncapped — the replay performs these exact operations).
+        # as the pure-Python loop (eager for capped, deferred-replay for
+        # uncapped — the replay performed these exact operations).
         rates += theta * w_active
 
         # Drain resources, full-vector: unpressured resources lose
@@ -340,10 +240,10 @@ def fill(arrays: DemandArrays, remaining, present, thresholds):
             else:
                 # Attribute each demand to the saturated resource whose
                 # first active incidence entry comes earliest == the
-                # scalar ``_pressure_rank`` order (entry order is
+                # rebuilt-pressure-index order (entry order is
                 # (demand, position) lexicographic order); the demand's
-                # first-processed resource wins, exactly as the scalar
-                # loop's in-order freeze does.
+                # first-processed resource wins, exactly as an in-order
+                # freeze does.
                 sat_res = ent_local[hit_ent]
                 uniq_res, first_pos = np.unique(sat_res, return_index=True)
                 firsts = np.empty(R, dtype=np.int64)
@@ -388,18 +288,17 @@ def fill(arrays: DemandArrays, remaining, present, thresholds):
 
 
 def solve_arrays(arrays: DemandArrays, demands, capacities: Mapping):
-    """Vectorized progressive filling; bit-identical to the scalar solve.
+    """Progressive filling of one :class:`MaxMinProblem` against *capacities*.
 
     *demands* is the problem's demand list (for flow ids in original
-    order); *capacities* is the same mapping the scalar solve takes.
-    Returns a :class:`~repro.fairshare.maxmin.MaxMinResult`.
+    order).  Returns a :class:`~repro.fairshare.maxmin.MaxMinResult`.
     """
     from repro.fairshare.maxmin import _EPS, MaxMinResult
 
     R = len(arrays.res_ids)
 
-    # Residual bookkeeping matches the scalar entry clamp exactly,
-    # including its Python ``max(0.0, float(cap))`` NaN semantics.
+    # Entry clamp of every capacity, with Python ``max(0.0, float(cap))``
+    # NaN semantics (NaN clamps to 0.0).
     residual = {key: max(0.0, float(cap)) for key, cap in capacities.items()}
 
     # Gather the constrained subset of this problem's resources.

@@ -34,12 +34,13 @@ from typing import Hashable
 
 from repro import obs
 from repro.collector.cell import Cell, ShardRegistry
-from repro.core.api import _LEVELS
-from repro.core.flows import Flow, FlowAnswer, FlowInfoResult, FlowQuery, MulticastFlow
+from repro.core import snaparrays as _snaparrays
+from repro.core.flows import Flow, FlowInfoResult, FlowQuery, MulticastFlow
 from repro.core.graph import RemosEdge, RemosGraph, RemosNode
 from repro.core.modeler import AUTO_COLLAPSE_THRESHOLD, Modeler
 from repro.core.timeframe import Timeframe
-from repro.fairshare import FlowRequest, StagedProblem, admission_report
+from repro.fairshare import FlowRequest, admission_report
+from repro.fairshare.vectorized import KeySpace
 from repro.federation.aggregator import Aggregator
 from repro.federation.summary import FederationSummary, SummaryEdge
 from repro.stats import StatMeasure
@@ -126,16 +127,23 @@ class FederationCacheStats:
         }
 
 
-class _QueryPin:
+class _QueryPin(_snaparrays.FlowSource):
     """Everything one cross-shard query reads, pinned at query start.
 
     Cells publish concurrently with queries; pinning each involved cell's
     snapshot (and the federation summary) once keeps a single answer from
     straddling epochs.  Lazy: only the shards the query actually touches
     are pinned.
+
+    Also the cross-shard plan and price steps of the flow pipeline
+    (:mod:`repro.core.snaparrays`): a flow's plan is its composed
+    footprint (:meth:`FederatedRemos._plan_flow`), and a resource is
+    priced by the shard whose capacity view knows it, or — for a summary
+    edge — by the edge's member-minimum availability.
     """
 
     def __init__(self, remos: "FederatedRemos", timeframe: Timeframe):
+        super().__init__(KeySpace())
         self._remos = remos
         self.timeframe = timeframe
         self.summary: FederationSummary = remos._summary()
@@ -144,6 +152,11 @@ class _QueryPin:
         self._capacity_views: dict[tuple[str, str], object] = {}
         self._edge_measures: dict[tuple[str, str, str], StatMeasure] = {}
         self._gateway_shard: dict[str, str] | None = None
+        #: Summary-edge resource key -> (edge, from_shard), from the plans.
+        self._edge_keys: dict[Hashable, tuple[SummaryEdge, str]] = {}
+        #: Shards whose segments the plans cross, in first-seen order.
+        self._shards: dict[str, None] = {}
+        self._key_shard: dict[Hashable, str] = {}
 
     def modeler(self, shard: str) -> Modeler:
         modeler = self._modelers.get(shard)
@@ -202,6 +215,51 @@ class _QueryPin:
         assert measure is not None  # bundles always have members
         self._edge_measures[cache_key] = measure
         return measure
+
+    def register(self, plan: "_FlowPlan") -> None:
+        """Note which shards and summary edges price *plan*'s resources."""
+        for shard, _hops in plan.intra:
+            self._shards.setdefault(shard, None)
+        for edge, from_shard in plan.edges:
+            self._edge_keys[fed_key(edge, from_shard)] = (edge, from_shard)
+
+    def plan(self, flow) -> _snaparrays.PlannedFlow:
+        plan = self._remos._plan_flow(self, flow)
+        self.register(plan)
+        accuracy = 1.0
+        for shard, hops in plan.intra:
+            modeler = self.modeler(shard)
+            for hop in hops:
+                measure = modeler.available_bandwidth(hop, self.timeframe)
+                accuracy = min(accuracy, measure.accuracy)
+        for edge, from_shard in plan.edges:
+            accuracy = min(accuracy, self.edge_measure(edge, from_shard).accuracy)
+        return _snaparrays.PlannedFlow(
+            self.keyspace.intern_row(plan.resources),
+            StatMeasure.constant(plan.latency),
+            plan.hop_count,
+            accuracy,
+        )
+
+    def price(self, level: str, key: Hashable) -> float:
+        """Capacity of a registered plan's resource at *level*.
+
+        Refuses a key no involved shard knows: read as unconstrained it
+        would make the federated answer less strict than the oracle's.
+        """
+        crossing = self._edge_keys.get(key)
+        if crossing is not None:
+            return getattr(self.edge_measure(*crossing), level)
+        shard = self._key_shard.get(key)
+        if shard is None:
+            # Shard views are disjoint, so at most one knows the key.
+            for shard in self._shards:
+                if key in self.capacity_view(shard, "median"):
+                    break
+            else:
+                raise QueryError(f"no shard can price resource {key!r}")
+            self._key_shard[key] = shard
+        return self.capacity_view(shard, level)[key]
 
 
 def fed_key(edge: SummaryEdge, from_shard: str) -> tuple:
@@ -326,12 +384,6 @@ class FederatedRemos:
 
     def _cell(self, shard: str) -> Cell:
         return self.registry.cell(shard)
-
-    @staticmethod
-    def _endpoints_of(flow) -> tuple[str, ...]:
-        if isinstance(flow, MulticastFlow):
-            return (flow.src, *flow.dsts)
-        return (flow.src, flow.dst)
 
     def _validate_endpoint(self, pin: _QueryPin, shard: str, endpoint: str) -> None:
         topology = pin.modeler(shard).view.topology
@@ -496,7 +548,7 @@ class FederatedRemos:
                     endpoints = [
                         endpoint
                         for flow in scenario.flows
-                        for endpoint in self._endpoints_of(flow)
+                        for endpoint in _snaparrays.endpoints_of(flow)
                     ]
                     home = self.home_shard(endpoints)
                     if home is None:
@@ -528,7 +580,7 @@ class FederatedRemos:
 
     def _plan_flow(self, pin: _QueryPin, flow) -> _FlowPlan:
         """Compose one flow's resource footprint across shards."""
-        endpoints = self._endpoints_of(flow)
+        endpoints = _snaparrays.endpoints_of(flow)
         shards = {endpoint: self.registry.shard_of(endpoint) for endpoint in endpoints}
         for endpoint, shard in shards.items():
             if shard is None:
@@ -600,136 +652,15 @@ class FederatedRemos:
     def _evaluate_cross(
         self, pin: _QueryPin, scenario: FlowQuery, timeframe: Timeframe
     ) -> FlowInfoResult:
-        """Solve one cross-shard scenario against composed capacities.
+        """Answer one cross-shard scenario through the flow pipeline.
 
-        Mirrors :meth:`Remos._evaluate_flow_query` stage for stage; the
-        only difference is where capacities come from — each shard's own
-        capacity view for intra-shard resources (exact) and the summary
-        edges' member-minimum measures for WAN crossings (conservative).
+        The pin supplies the plan step (:meth:`_plan_flow`: exact shard
+        segments joined by summary edges) and the price step (each shard's
+        own capacity view, exact; each summary edge's member minimum,
+        conservative); solve and answer are the single cell's.
         """
-        fixed = list(scenario.fixed)
-        variable = list(scenario.variable)
-        independent = list(scenario.independent)
-        plans: dict[str, _FlowPlan] = {}
-
-        def requests(flows, klass: str) -> list[FlowRequest]:
-            built = []
-            for index, flow in enumerate(flows):
-                plan = self._plan_flow(pin, flow)
-                label = flow.label(index, klass)
-                plans[label] = plan
-                built.append(
-                    FlowRequest(
-                        flow_id=label,
-                        resources=plan.resources,
-                        requested=flow.requested,
-                        cap=flow.cap,
-                    )
-                )
-            return built
-
-        fixed_requests = requests(fixed, "fixed")
-        variable_requests = requests(variable, "variable")
-        independent_requests = requests(independent, "independent")
-        all_ids = [
-            r.flow_id
-            for r in (*fixed_requests, *variable_requests, *independent_requests)
-        ]
-        if len(set(all_ids)) != len(all_ids):
-            raise QueryError("flow labels must be unique within a query")
-
-        problem = StagedProblem(
-            fixed=fixed_requests,
-            variable=variable_requests,
-            independent=independent_requests,
-        )
-        keys = problem.resource_keys()
-        shard_keys: dict[str, list[Hashable]] = {}
-        edge_keys: dict[Hashable, tuple[SummaryEdge, str]] = {}
-        for plan in plans.values():
-            for edge, from_shard in plan.edges:
-                edge_keys[fed_key(edge, from_shard)] = (edge, from_shard)
-        for plan in plans.values():
-            for shard, _hops in plan.intra:
-                shard_keys.setdefault(shard, [])
-        for key in keys:
-            if key in edge_keys:
-                continue
-            # Intra-shard keys are resolved by whichever involved shard
-            # knows them; shard views are disjoint so at most one answers.
-            for shard in shard_keys:
-                view = pin.capacity_view(shard, "median")
-                if key in view:
-                    shard_keys[shard].append(key)
-                    break
-            else:
-                raise QueryError(f"no shard can price resource {key!r}")
-
-        rates_by_level: dict[str, dict[Hashable, float]] = {}
-        median_allocation = None
-        for level in (*_LEVELS, "mean"):
-            capacities: dict[Hashable, float] = {}
-            for shard, shard_specific in shard_keys.items():
-                view = pin.capacity_view(shard, level)
-                for key in shard_specific:
-                    capacities[key] = view[key]
-            for key, (edge, from_shard) in edge_keys.items():
-                measure = pin.edge_measure(edge, from_shard)
-                capacities[key] = getattr(measure, level)
-            allocation = problem.solve(capacities)
-            rates_by_level[level] = allocation.rates
-            if level == "median":
-                median_allocation = allocation
-        assert median_allocation is not None
-
-        accuracy = 1.0
-        for plan in plans.values():
-            for shard, hops in plan.intra:
-                modeler = pin.modeler(shard)
-                for hop in hops:
-                    measure = modeler.available_bandwidth(hop, timeframe)
-                    accuracy = min(accuracy, measure.accuracy)
-            for edge, from_shard in plan.edges:
-                accuracy = min(accuracy, pin.edge_measure(edge, from_shard).accuracy)
-
-        def answers(flows, reqs, klass: str) -> list[FlowAnswer]:
-            result = []
-            for flow, request in zip(flows, reqs):
-                label = request.flow_id
-                plan = plans[label]
-                quartiles = sorted(rates_by_level[level][label] for level in _LEVELS)
-                bandwidth = StatMeasure(
-                    minimum=quartiles[0],
-                    q1=quartiles[1],
-                    median=quartiles[2],
-                    q3=quartiles[3],
-                    maximum=quartiles[4],
-                    mean=rates_by_level["mean"][label],
-                    n_samples=len(_LEVELS),
-                    accuracy=accuracy,
-                )
-                result.append(
-                    FlowAnswer(
-                        flow=flow,
-                        label=label,
-                        bandwidth=bandwidth,
-                        latency=StatMeasure.constant(plan.latency),
-                        hop_count=plan.hop_count,
-                        satisfied=(
-                            median_allocation.satisfied.get(label)
-                            if klass == "fixed"
-                            else None
-                        ),
-                        bottleneck=median_allocation.bottlenecks.get(label),
-                    )
-                )
-            return result
-
-        return FlowInfoResult(
-            timeframe=timeframe,
-            fixed=answers(fixed, fixed_requests, "fixed"),
-            variable=answers(variable, variable_requests, "variable"),
-            independent=answers(independent, independent_requests, "independent"),
+        return _snaparrays.evaluate_flow_query(
+            pin, scenario.fixed, scenario.variable, scenario.independent, timeframe
         )
 
     # -- node / admission queries ------------------------------------------------
@@ -755,7 +686,7 @@ class FederatedRemos:
         endpoints = [
             endpoint
             for flow in fixed_flows
-            for endpoint in self._endpoints_of(flow)
+            for endpoint in _snaparrays.endpoints_of(flow)
         ]
         home = self.home_shard(endpoints)
         if home is not None:
@@ -765,9 +696,9 @@ class FederatedRemos:
             try:
                 pin = _QueryPin(self, timeframe)
                 requests = []
-                capacities: dict[Hashable, float] = {}
                 for index, flow in enumerate(fixed_flows):
                     plan = self._plan_flow(pin, flow)
+                    pin.register(plan)
                     requests.append(
                         FlowRequest(
                             flow_id=flow.label(index, "fixed"),
@@ -776,22 +707,12 @@ class FederatedRemos:
                             cap=flow.requested,
                         )
                     )
-                    for edge, from_shard in plan.edges:
-                        capacities[fed_key(edge, from_shard)] = pin.edge_measure(
-                            edge, from_shard
-                        ).median
-                    for shard, _hops in plan.intra:
-                        view = pin.capacity_view(shard, "median")
-                        for key in plan.resources:
-                            if key not in capacities and key in view:
-                                capacities[key] = view[key]
-                # admission_report treats unpriced keys as unconstrained,
-                # which would make the federated answer *less* strict than
-                # the oracle — refuse instead, like _evaluate_cross.
-                for request in requests:
-                    for key in request.resources:
-                        if key not in capacities:
-                            raise QueryError(f"no shard can price resource {key!r}")
+                # Every key priced (or refused), as the flow pipeline does.
+                capacities = {
+                    key: pin.price("median", key)
+                    for request in requests
+                    for key in request.resources
+                }
                 report = admission_report(capacities, requests)
                 if sp:
                     sp.set(shard="cross", flow_count=len(fixed_flows))

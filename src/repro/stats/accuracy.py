@@ -9,14 +9,7 @@ paper prescribes the *existence* of the measure, not a formula).
 
 from __future__ import annotations
 
-import math
-
-try:  # numpy is the optional ``repro[fast]`` accelerator
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy smoke test
-    np = None
-
-from repro.stats.quartiles import percentiles
+import numpy as np
 
 
 def sample_accuracy(values) -> float:
@@ -27,24 +20,14 @@ def sample_accuracy(values) -> float:
     * shrinks with relative dispersion (IQR/median), since a highly
       variable series pins down the "true" level less well.
     """
-    if np is not None:
-        values = np.asarray(values, dtype=float)
-        n = values.size
-        if n == 0:
-            return 0.0
-        count_term = 1.0 - np.exp(-n / 10.0)
-        if n == 1:
-            return float(0.5 * count_term)
-        q1, median, q3 = np.percentile(values, [25, 50, 75])
-    else:
-        values = [float(v) for v in values]
-        n = len(values)
-        if n == 0:
-            return 0.0
-        count_term = 1.0 - math.exp(-n / 10.0)
-        if n == 1:
-            return float(0.5 * count_term)
-        q1, median, q3 = percentiles(sorted(values), [25, 50, 75])
+    values = np.asarray(values, dtype=float)
+    n = values.size
+    if n == 0:
+        return 0.0
+    count_term = 1.0 - np.exp(-n / 10.0)
+    if n == 1:
+        return float(0.5 * count_term)
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
     scale = max(abs(median), 1e-12)
     dispersion = (q3 - q1) / scale
     dispersion_term = 1.0 / (1.0 + dispersion)

@@ -13,10 +13,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable
 
-try:  # numpy is the optional ``repro[fast]`` accelerator
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy smoke test
-    np = None
+import numpy as np
 
 from repro.util.errors import ConfigurationError
 
@@ -24,9 +21,9 @@ from repro.util.errors import ConfigurationError
 def percentiles(ordered: "list[float]", percents: Iterable[float]) -> list[float]:
     """Linear-interpolated percentiles of an already-sorted list.
 
-    The pure-Python twin of ``np.percentile``'s default method, used when
-    numpy is not installed.  Interpolation follows the same
-    ``a + (b - a) * frac`` form so the two paths agree to rounding.
+    The pure-Python twin of ``np.percentile``'s default method, for short
+    lists where array setup would dominate.  Interpolation follows the
+    same ``a + (b - a) * frac`` form so the two agree to rounding.
     """
     n = len(ordered)
     results = []
@@ -68,20 +65,12 @@ class StatMeasure:
         cls, values: Iterable[float], accuracy: float | None = None
     ) -> "StatMeasure":
         """Summarise raw samples; accuracy defaults to a sample-count heuristic."""
-        if np is not None:
-            data = np.asarray(list(values), dtype=float)
-            if data.size == 0:
-                raise ConfigurationError("cannot summarise zero samples")
-            quartiles = np.percentile(data, [0, 25, 50, 75, 100])
-            mean = float(data.mean())
-            count = int(data.size)
-        else:
-            data = [float(v) for v in values]
-            if not data:
-                raise ConfigurationError("cannot summarise zero samples")
-            quartiles = percentiles(sorted(data), [0, 25, 50, 75, 100])
-            mean = sum(data) / len(data)
-            count = len(data)
+        data = np.asarray(list(values), dtype=float)
+        if data.size == 0:
+            raise ConfigurationError("cannot summarise zero samples")
+        quartiles = np.percentile(data, [0, 25, 50, 75, 100])
+        mean = float(data.mean())
+        count = int(data.size)
         if accuracy is None:
             from repro.stats.accuracy import sample_accuracy
 
@@ -111,8 +100,8 @@ class StatMeasure:
         out of a sort the ordering invariant holds by construction (and
         NaN entries disable the tolerance comparison exactly as they do in
         the validating path), so this is behaviour-preserving.  The hot
-        answer-assembly loop of the vectorized flow evaluator builds tens
-        of thousands of these per batch.
+        answer-assembly loop of the flow pipeline builds tens of thousands
+        of these per batch.
         """
         if not 0.0 <= accuracy <= 1.0:
             raise ConfigurationError(f"accuracy must be in [0,1], got {accuracy}")

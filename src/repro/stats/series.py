@@ -7,35 +7,15 @@ buffer so long-running collectors stay bounded.
 
 from __future__ import annotations
 
-try:  # numpy is the optional ``repro[fast]`` accelerator
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy smoke test
-    np = None
+import numpy as np
 
 from repro.stats.quartiles import StatMeasure
 from repro.util.errors import ConfigurationError
 from repro.util.ringbuf import RingBuffer
 
 
-class _FloatVector(list):
-    """No-numpy stand-in for the 1-D arrays ``window()`` etc. return.
-
-    Callers touch only ``.size``, ``.mean()``, iteration and indexing, so a
-    thin list subclass keeps the scalar fallback API-compatible.
-    """
-
-    @property
-    def size(self) -> int:
-        return len(self)
-
-    def mean(self) -> float:
-        return sum(self) / len(self)
-
-
-def _vector(data: "list[float]"):
-    if np is not None:
-        return np.array(data, dtype=float)
-    return _FloatVector(data)
+def _vector(data: "list[float]") -> np.ndarray:
+    return np.array(data, dtype=float)
 
 
 class TimeSeries:

@@ -8,8 +8,9 @@ The contracts under test (docs/TOPOLOGIES.md):
 * on multipath fabrics the collapsed graph preserves path-level answers
   exactly when bundle loads are uniform (and conservatively otherwise);
 * flow and admission queries through the lazy :class:`CapacityView` are
-  bit-identical to the eager whole-network snapshots, for arbitrary
-  randomized loads — the pruning argument;
+  bit-identical to the eager whole-network snapshots (flow answers: to the
+  frozen scalar evaluator over them), for arbitrary randomized loads — the
+  pruning argument;
 * the collapse tree survives metrics-only sweeps and is shared across
   snapshot epochs (identity), and a structural change rebuilds it.
 """
@@ -31,6 +32,7 @@ from repro.net import TopologyBuilder, fat_tree, leaf_spine
 from repro.util import mbps
 from repro.util.errors import QueryError
 
+from tests.core import _oracle_flow as oracle
 from tests.core.conftest import line_topology, measured_view
 
 
@@ -202,8 +204,8 @@ class TestFlowAnswerPreservation:
         )
         pruned = remos.flow_info(timeframe=timeframe, **flows)
         modeler = remos._modeler()
-        snapshots = Remos._capacity_snapshots_full(modeler, timeframe)
-        full = remos._evaluate_flow_query(
+        snapshots = oracle.capacity_snapshots_full(modeler, timeframe)
+        full = oracle.evaluate_flow_query(
             modeler,
             flows["fixed_flows"],
             flows["variable_flows"],
@@ -211,7 +213,7 @@ class TestFlowAnswerPreservation:
             timeframe,
             snapshots,
         )
-        assert pruned == full
+        oracle.assert_results_identical(pruned, full)
 
     @pytest.mark.parametrize("seed", [10, 11])
     def test_admission_pruned_equals_full(self, seed):

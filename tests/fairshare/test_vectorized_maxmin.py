@@ -1,4 +1,4 @@
-"""Vectorized max-min kernels vs the scalar loop: bit-identical.
+"""The max-min kernel and the flow pipeline vs the frozen scalar loop.
 
 The numpy waterfilling kernel (:mod:`repro.fairshare.vectorized`) is a
 *reordering* of the scalar loop's float operations, not a reformulation:
@@ -6,29 +6,34 @@ The numpy waterfilling kernel (:mod:`repro.fairshare.vectorized`) is a
 applied full-vector with masked zero weights (adding ``+0.0`` never
 perturbs a positive partial sum), and multi-saturation bottleneck
 attribution reproduces the scalar pass's in-order freeze.  So the
-contract is exact: equal float *bits* for every rate and residual, the
-same dict ordering, the same bottleneck attributions, the same iteration
-count, and the same raised errors — across randomized adversarial inputs
+contract against the frozen loop (``tests/core/_oracle_flow.py``) is
+exact: equal float *bits* for every rate and residual, the same dict
+ordering, the same bottleneck attributions, the same iteration count,
+and the same raised errors — across randomized adversarial inputs
 (duplicate crossings, zero/absent capacities, zero caps, infinities).
 
-The API-level test closes the loop end to end: ``flow_info_batch``
-answers over a real topology must be equal whether the array evaluator
-or the scalar path computed them.
+The staged chain and the whole query pipeline are held to the same
+contract: ``allocate_three_stage`` against the frozen ``StagedProblem``,
+and ``flow_info_batch`` against the frozen scalar evaluator — multicast,
+small queries and all three flow classes included.
 """
 
 import math
-import os
 import random
 import struct
 
 import pytest
 
-from repro.fairshare import Demand, MaxMinProblem
+from repro.collector import MetricsStore
+from repro.collector.base import NetworkView
+from repro.core import Flow, FlowQuery, MulticastFlow, Remos, Timeframe
+from repro.fairshare import Demand, FlowRequest, MaxMinProblem, allocate_three_stage
 from repro.fairshare import vectorized
+from repro.net import TopologyBuilder
+from repro.util import mbps
 
-pytestmark = pytest.mark.skipif(
-    not vectorized.HAVE_NUMPY, reason="numpy not installed; no vectorized kernel"
-)
+from tests.core import _oracle_flow as oracle
+from tests.core.conftest import measured_view
 
 
 def bits(x: float) -> int:
@@ -41,12 +46,6 @@ def assert_same_floats(a: dict, b: dict, label: str) -> None:
         x, y = a[key], b[key]
         same = (math.isnan(x) and math.isnan(y)) or bits(x) == bits(y)
         assert same, f"{label}[{key}]: {x!r} vs {y!r}"
-
-
-@pytest.fixture(autouse=True)
-def _restore_mode():
-    yield
-    vectorized.set_vectorized(None)
 
 
 def random_problem(rng: random.Random):
@@ -71,15 +70,13 @@ def random_problem(rng: random.Random):
 
 
 def solve_both(demands, capacities):
-    """(scalar result|error, vectorized result|error) for one problem."""
+    """(scalar oracle result|error, kernel result|error) for one problem."""
     outcomes = []
-    for mode in (False, True):
-        vectorized.set_vectorized(mode)
+    for problem in (oracle.MaxMinProblem, MaxMinProblem):
         try:
-            outcomes.append((MaxMinProblem(demands).solve(dict(capacities)), None))
+            outcomes.append((problem(demands).solve(dict(capacities)), None))
         except Exception as exc:  # noqa: BLE001 - error parity is the assertion
             outcomes.append((None, (type(exc).__name__, str(exc))))
-    vectorized.set_vectorized(None)
     return outcomes
 
 
@@ -133,43 +130,34 @@ def test_duplicate_crossings_count_twice():
     )
 
 
-def test_forced_modes_route_to_their_kernels():
-    demands = [Demand(flow_id=f"f{i}", resources=("r0",)) for i in range(3)]
-    before = dict(vectorized.counters)
-    vectorized.set_vectorized(True)
-    MaxMinProblem(demands).solve({"r0": 9.0})
-    assert vectorized.counters["vectorized_solves"] == before["vectorized_solves"] + 1
-    vectorized.set_vectorized(False)
-    MaxMinProblem(demands).solve({"r0": 9.0})
-    assert vectorized.counters["scalar_solves"] == before["scalar_solves"] + 1
+def test_every_solve_runs_the_kernel():
+    before = vectorized.counters["vectorized_solves"]
+    MaxMinProblem([Demand(flow_id="f0", resources=("r0",))]).solve({"r0": 1.0})
+    assert vectorized.counters["vectorized_solves"] == before + 1
 
 
-def test_auto_mode_uses_min_demands_threshold():
-    if os.environ.get("REPRO_VECTORIZE") is not None:
-        pytest.skip("REPRO_VECTORIZE pins a kernel; the auto heuristic is bypassed")
-    vectorized.set_vectorized(None)
-    small = [Demand(flow_id="f0", resources=("r0",))]
-    before = dict(vectorized.counters)
-    MaxMinProblem(small).solve({"r0": 1.0})
-    assert vectorized.counters["scalar_solves"] == before["scalar_solves"] + 1
-    large = [
-        Demand(flow_id=f"f{i}", resources=("r0",))
-        for i in range(vectorized.MIN_DEMANDS)
-    ]
-    before = dict(vectorized.counters)
-    MaxMinProblem(large).solve({"r0": 1.0})
-    assert (
-        vectorized.counters["vectorized_solves"] == before["vectorized_solves"] + 1
-    )
+def test_staged_chain_fuzz_bit_identical():
+    """``allocate_three_stage`` vs the frozen ``StagedProblem``."""
+    rng = random.Random(7)
+    for _ in range(300):
+        demands, capacities = random_problem(rng)
+        classes = {"fixed": [], "variable": [], "independent": []}
+        for demand in demands:
+            klass = rng.choice(list(classes))
+            requested = rng.choice([0.0, 1.0, 2.5, rng.uniform(0.0, 40.0)])
+            classes[klass].append(
+                FlowRequest(demand.flow_id, demand.resources, requested, demand.cap)
+            )
+        new = allocate_three_stage(capacities, **classes)
+        old = oracle.StagedProblem(**classes).solve(capacities)
+        assert_same_floats(new.rates, old.rates, "rates")
+        assert new.bottlenecks == old.bottlenecks
+        assert new.satisfied == old.satisfied
+        assert_same_floats(new.residual_capacity, old.residual_capacity, "residual")
+        assert new.iterations == old.iterations
 
 
-def test_flow_info_batch_answers_identical_end_to_end():
-    """The whole query path: array evaluator vs scalar, equal answers."""
-    from repro.collector import MetricsStore
-    from repro.collector.base import NetworkView
-    from repro.core import Flow, FlowQuery, Remos, Timeframe
-    from repro.net import TopologyBuilder
-
+def two_level_tree():
     builder = TopologyBuilder("diff").router("core")
     hosts = []
     for leaf in range(4):
@@ -179,7 +167,33 @@ def test_flow_info_batch_answers_identical_end_to_end():
             host = f"h{leaf * 4 + slot}"
             hosts.append(host)
             builder.host(host).link(host, router, "100Mbps", "0.1ms")
-    topology = builder.build()
+    return builder.build(), hosts
+
+
+def assert_batch_matches_oracle(remos: Remos, queries, timeframe) -> None:
+    """flow_info_batch == the frozen scalar evaluator on the same views."""
+    answers = remos.flow_info_batch(queries, timeframe)
+    modeler = remos._modeler()
+    views = {
+        level: modeler.capacity_view(timeframe, quantile=level)
+        for level in ("minimum", "q1", "median", "q3", "maximum", "mean")
+    }
+    for query, answer in zip(queries, answers):
+        expected = oracle.evaluate_flow_query(
+            modeler,
+            list(query.fixed),
+            list(query.variable),
+            list(query.independent),
+            timeframe,
+            views,
+        )
+        assert answer.answers  # non-degenerate comparison
+        oracle.assert_results_identical(answer, expected)
+
+
+def test_flow_info_batch_answers_identical_end_to_end():
+    """The whole query path: pipeline vs frozen scalar evaluator."""
+    topology, hosts = two_level_tree()
     pool = hosts[::3]
     queries = [
         FlowQuery(
@@ -196,13 +210,39 @@ def test_flow_info_batch_answers_identical_end_to_end():
         ),
     ]
     remos = Remos(NetworkView(topology=topology, metrics=MetricsStore()))
-    timeframe = Timeframe.current()
+    assert_batch_matches_oracle(remos, queries, Timeframe.current())
 
-    vectorized.set_vectorized(False)
-    scalar_answers = remos.flow_info_batch(queries, timeframe)
-    vectorized.set_vectorized(True)
-    vector_answers = remos.flow_info_batch(queries, timeframe)
 
-    assert scalar_answers == vector_answers
-    for result in scalar_answers:
-        assert result.answers  # non-degenerate comparison
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_small_mixed_and_multicast_queries_identical(seed):
+    """Inputs the scalar path used to answer: < 12 flows, multicast, and
+    fixed/variable/independent mixes, over randomized measured load."""
+    rng = random.Random(seed)
+    topology, hosts = two_level_tree()
+    loads = {
+        (d.link.name, d.src): rng.uniform(0.0, mbps(90))
+        for d in topology.iter_directions()
+    }
+    remos = Remos(measured_view(topology, loads, samples=12))
+
+    def pair():
+        return rng.sample(hosts, 2)
+
+    queries = [
+        FlowQuery(variable=[Flow(*pair())]),
+        FlowQuery(
+            fixed=[Flow(*pair(), requested=mbps(rng.uniform(1, 60))) for _ in range(3)],
+            variable=[Flow(*pair(), requested=rng.choice([0.0, 1.0, 3.0])) for _ in range(3)],
+            independent=[Flow(*pair(), cap=mbps(rng.uniform(5, 80))) for _ in range(2)],
+        ),
+        FlowQuery(
+            variable=[MulticastFlow(hosts[0], rng.sample(hosts[1:], 3))],
+            independent=[Flow(*pair())],
+        ),
+        FlowQuery(
+            fixed=[MulticastFlow(hosts[5], rng.sample(hosts[6:], 2), requested=mbps(30))],
+            variable=[Flow(*pair(), requested=2.0), Flow(*pair(), requested=1.0)],
+        ),
+    ]
+    for timeframe in (Timeframe.current(), Timeframe.history(10.0)):
+        assert_batch_matches_oracle(remos, queries, timeframe)

@@ -10,9 +10,11 @@ import random
 
 import pytest
 
-from repro.core import Flow, FlowQuery, MulticastFlow
+from repro.core import Flow, FlowQuery, MulticastFlow, Timeframe
+from repro.federation.api import _QueryPin
 from repro.util.errors import QueryError
 
+from tests.core import _oracle_flow as oracle
 from tests.federation.conftest import make_world
 
 LEVELS = ("minimum", "q1", "median", "q3", "maximum", "mean")
@@ -161,6 +163,88 @@ class TestCrossShardConservative:
         _world, remos, _oracle = small_world
         with pytest.raises(QueryError, match="unknown flow endpoint"):
             remos.flow_info(variable_flows=[Flow("s0-leaf0-h0", "s1-gw")])
+
+
+CROSS_SCENARIOS = [
+    FlowQuery(variable=[Flow("s0-leaf0-h0", "s1-leaf0-h0")]),
+    FlowQuery(
+        fixed=[
+            Flow("s0-leaf0-h0", "s2-leaf1-h1", requested=120e6),
+            Flow("s1-leaf0-h1", "s1-leaf1-h0", requested=30e6),
+        ],
+        variable=[
+            Flow("s2-leaf0-h1", "s0-leaf0-h1", requested=3.0),
+            Flow("s0-leaf1-h0", "s1-leaf1-h1", requested=1.0),
+        ],
+        independent=[
+            Flow("s1-leaf0-h0", "s2-leaf0-h0", cap=50e6),
+            Flow("s2-leaf1-h0", "s0-leaf1-h1"),
+        ],
+    ),
+    FlowQuery(
+        variable=[Flow("s0-leaf0-h0", "s1-leaf1-h1"), Flow("s0-leaf0-h1", "s1-leaf1-h0")],
+        independent=[MulticastFlow("s2-leaf0-h0", ("s2-leaf0-h1", "s2-leaf1-h1"))],
+    ),
+]
+
+
+class TestCrossShardFrozen:
+    """Cross-shard answers == the frozen pre-unification ``_evaluate_cross``."""
+
+    @pytest.mark.parametrize(
+        "timeframe", [Timeframe.current(), Timeframe.history(10.0)], ids=str
+    )
+    @pytest.mark.parametrize("world", ["small_world", "loaded_world"])
+    def test_batch_bit_identical(self, request, world, timeframe):
+        _world, remos, _oracle = request.getfixturevalue(world)
+        batched = remos.flow_info_batch(CROSS_SCENARIOS, timeframe)
+        pin = _QueryPin(remos, timeframe)
+        for scenario, answer in zip(CROSS_SCENARIOS, batched):
+            expected = oracle.evaluate_cross(remos, pin, scenario, timeframe)
+            oracle.assert_results_identical(answer, expected)
+
+    def test_transit_ring_bit_identical(self):
+        world, remos, _oracle = make_world(shards=4, wan="ring", warmup=4.0)
+        try:
+            timeframe = Timeframe.current()
+            scenario = FlowQuery(
+                variable=[
+                    Flow("s0-leaf0-h0", "s2-leaf0-h0"),
+                    Flow("s1-leaf1-h1", "s3-leaf0-h1", requested=2.0),
+                ]
+            )
+            answer = remos._evaluate_cross(_QueryPin(remos, timeframe), scenario, timeframe)
+            expected = oracle.evaluate_cross(
+                remos, _QueryPin(remos, timeframe), scenario, timeframe
+            )
+            oracle.assert_results_identical(answer, expected)
+        finally:
+            world.stop()
+
+
+class TestLoopback:
+    """A flow to itself has no network answer: refused, never ``inf``."""
+
+    def test_intra_shard_loopback_rejected(self, small_world):
+        _world, remos, _oracle = small_world
+        with pytest.raises(QueryError, match="loopback"):
+            remos.flow_info(variable_flows=[Flow("s0-leaf0-h0", "s0-leaf0-h0")])
+
+    def test_loopback_inside_cross_scenario_rejected(self, small_world):
+        _world, remos, _oracle = small_world
+        with pytest.raises(QueryError, match="loopback"):
+            remos.flow_info(
+                variable_flows=[
+                    Flow("s0-leaf0-h0", "s1-leaf0-h0"),
+                    Flow("s2-leaf0-h1", "s2-leaf0-h1"),
+                ]
+            )
+
+    def test_multicast_to_its_source_rejected(self, small_world):
+        _world, remos, _oracle = small_world
+        tree = MulticastFlow("s1-leaf0-h0", ("s1-leaf0-h1", "s1-leaf0-h0"))
+        with pytest.raises(QueryError, match="loopback"):
+            remos.flow_info(variable_flows=[tree])
 
 
 class TestBundledWan:

@@ -51,6 +51,15 @@ def fetch(url: str, data: bytes | None = None, headers: dict | None = None):
         return error.code, error.read(), dict(error.headers)
 
 
+def strict_json(body: bytes):
+    """Parse as a strict JSON parser would: bare NaN/Infinity are errors."""
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(body, parse_constant=refuse)
+
+
 class TestAsyncFrontEnd:
     def test_healthz_and_traceparent_echo(self, live):
         _, _, base = live
@@ -82,9 +91,23 @@ class TestAsyncFrontEnd:
             headers={"Content-Type": "application/json"},
         )
         assert status == 200
-        result = json.loads(body)
+        result = strict_json(body)
         assert result["variable"]
         assert all("bandwidth" in answer for answer in result["variable"])
+
+    def test_loopback_flow_answers_400(self, live):
+        _, _, base = live
+        payload = json.dumps(
+            {"variable": [{"src": "m-1", "dst": "m-1"}]}
+        ).encode()
+        status, body, _ = fetch(
+            base + "/flow_info", data=payload,
+            headers={"Content-Type": "application/json"},
+        )
+        assert status == 400
+        error = strict_json(body)["error"]
+        assert error.startswith("QueryError:")
+        assert "loopback" in error
 
     def test_keep_alive_reuses_connection(self, live):
         _, server, _ = live
@@ -124,7 +147,9 @@ class TestAsyncFrontEnd:
         _, _, base = live
         status, body, _ = fetch(base + "/metrics")
         assert status == 200
-        assert b"remos_vectorized" in body
+        assert b"remos_vectorized_solves_total" in body
+        assert b"remos_vectorized " not in body  # the old on/off gauge
+        assert b"remos_scalar_solves_total" not in body
         assert b"remos_snapshot_epoch" in body
 
     def test_slow_queries_recorded(self, live):
