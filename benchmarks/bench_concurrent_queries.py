@@ -18,12 +18,12 @@ Two gates:
 
 * in-process: best concurrent throughput (4 or 8 readers) must be at
   least ``GATE``x the single-reader throughput on the same stack;
-* HTTP front doors (``test_front_door_throughput``): the same workload
-  pushed through the legacy threaded server, the asyncio server and the
-  ``--workers 4`` pre-forked mode, all in one run.  Multi-process is
-  where the GIL finally stops being the ceiling, so the 4-worker phase
-  must reach ``WORKER_GATE``x the threaded front end's qps — enforced
-  when the machine actually has cores to parallelise over
+* HTTP front door (``test_front_door_throughput``): the same workload
+  pushed through the asyncio door of one process and through the
+  ``--workers 4`` pre-forked mode, in one run.  Multi-process is where
+  the GIL finally stops being the ceiling, so the 4-worker phase must
+  reach ``WORKER_GATE``x the single-process door's qps — enforced when
+  the machine actually has cores to parallelise over
   (>= ``WORKER_GATE_MIN_CPUS``; on a 1-CPU container four processes
   time-slice one core and the ratio is recorded but not gated).
 
@@ -41,7 +41,7 @@ from http.client import HTTPConnection
 from pathlib import Path
 
 from repro.core import Flow, Timeframe
-from repro.service import MultiProcessServer, RemosService, serve_aio, serve_http
+from repro.service import MultiProcessServer, RemosService, serve_aio
 from repro.testbed import World
 
 from benchmarks._experiments import emit
@@ -64,7 +64,7 @@ WORKER_GATE = 2.0
 WORKER_GATE_MIN_CPUS = 4
 #: Informational floor applied below WORKER_GATE_MIN_CPUS: time-sliced
 #: workers can't scale, but they must stay in the same league as the
-#: threaded door.
+#: single-process door.
 WORKER_FLOOR = 0.5
 
 
@@ -221,7 +221,6 @@ def _run_front_door(mode: str) -> dict:
         Flow(query_hosts[0], query_hosts[2]),
         Flow(query_hosts[1], query_hosts[3]),
     ]
-    threaded_server = None
     stoppable = None
     try:
         if mode == "workers":
@@ -229,13 +228,6 @@ def _run_front_door(mode: str) -> dict:
                 service, port=0, workers=WORKER_COUNT, warmup=WARMUP_S
             ).start()
             address = stoppable.address
-        elif mode == "threaded":
-            service.start(warmup=WARMUP_S)
-            threaded_server = serve_http(service, port=0)
-            threading.Thread(
-                target=threaded_server.serve_forever, daemon=True
-            ).start()
-            address = threaded_server.server_address[:2]
         else:
             service.start(warmup=WARMUP_S)
             stoppable = serve_aio(service, port=0)
@@ -246,24 +238,21 @@ def _run_front_door(mode: str) -> dict:
             measured["workers"] = WORKER_COUNT
         return measured
     finally:
-        if threaded_server is not None:
-            threaded_server.shutdown()
-            threaded_server.server_close()
         if stoppable is not None:
             stoppable.stop()
         service.stop()
 
 
 def test_front_door_throughput(benchmark):
-    """Threaded vs asyncio vs 4-worker pre-fork, one run, one workload."""
+    """One asyncio process vs 4-worker pre-fork, one run, one workload."""
 
     def experiment():
-        return {mode: _run_front_door(mode) for mode in ("threaded", "async", "workers")}
+        return {mode: _run_front_door(mode) for mode in ("async", "workers")}
 
     doors = benchmark.pedantic(experiment, rounds=1, iterations=1)
-    threaded_qps = doors["threaded"]["throughput_qps"]
+    async_qps = doors["async"]["throughput_qps"]
     worker_qps = doors["workers"]["throughput_qps"]
-    worker_scaling = worker_qps / threaded_qps
+    worker_scaling = worker_qps / async_qps
     cpus = _cpu_count()
     gated, floor, passed = worker_gate(worker_scaling, cpus)
 
@@ -277,7 +266,7 @@ def test_front_door_throughput(benchmark):
             f"({phase['queries']} queries, {phase['errors']} errors)"
         )
     lines.append(
-        f"  {WORKER_COUNT}-worker/threaded scaling {worker_scaling:.2f}x "
+        f"  {WORKER_COUNT}-worker/async scaling {worker_scaling:.2f}x "
         f"(gate: >= {WORKER_GATE}x, "
         f"{'enforced' if gated else f'informational below {WORKER_GATE_MIN_CPUS} CPUs'})"
     )
@@ -298,7 +287,7 @@ def test_front_door_throughput(benchmark):
         assert phase["errors"] == 0, f"front door {phase['mode']} served errors"
         assert phase["queries"] > 0
     assert passed, (
-        f"worker/threaded scaling {worker_scaling:.2f}x below the "
+        f"worker/async scaling {worker_scaling:.2f}x below the "
         f"{'enforced' if gated else 'informational'} floor {floor}x on {cpus} CPUs"
     )
 

@@ -239,25 +239,16 @@ def cmd_table3(args) -> int:
 def cmd_serve(args) -> int:
     """Run the concurrent query service over the testbed, fronted by HTTP.
 
-    Three front doors share one application layer: the default asyncio
-    event loop, ``--threaded`` (the legacy thread-per-connection server),
-    and ``--workers N`` (N pre-forked asyncio processes on a shared
-    socket; the parent keeps the single-writer sweeper and broadcasts
-    each published epoch to the workers).
+    One asyncio front door answers every request on the service's query
+    thread pool (``--threads``); ``--workers N`` runs N of them as
+    pre-forked processes on a shared socket (the parent keeps the
+    single-writer sweeper and broadcasts each published epoch to the
+    workers).
     """
-    import threading
     import time as _time
 
-    from repro.service import (
-        MultiProcessServer,
-        RemosService,
-        serve_aio,
-        serve_http,
-    )
+    from repro.service import MultiProcessServer, RemosService, serve_aio
 
-    if args.threaded and args.workers > 0:
-        print("--threaded and --workers are mutually exclusive", file=sys.stderr)
-        return 2
     if args.federation > 0 and args.workers > 0:
         # The multi-process front door replicates one cell's epochs; a
         # federation has per-shard publishers the replicas can't mirror yet.
@@ -298,7 +289,6 @@ def cmd_serve(args) -> int:
     scenario = _parse_traffic(args.traffic)
     if scenario:
         scenario.start(world.net)
-    threaded_server = None
     if args.workers > 0:
         server = MultiProcessServer(
             service,
@@ -309,15 +299,6 @@ def cmd_serve(args) -> int:
         ).start()
         address = server.address
         mode = f"{args.workers} worker processes"
-    elif args.threaded:
-        service.start(warmup=args.warmup)
-        threaded_server = serve_http(service, host=args.host, port=args.port)
-        threading.Thread(
-            target=threaded_server.serve_forever, daemon=True
-        ).start()
-        server = threaded_server
-        address = threaded_server.server_address
-        mode = "threaded"
     else:
         service.start(warmup=args.warmup)
         server = serve_aio(service, host=args.host, port=args.port)
@@ -337,11 +318,7 @@ def cmd_serve(args) -> int:
     except KeyboardInterrupt:
         pass
     finally:
-        if threaded_server is not None:
-            threaded_server.shutdown()
-            threaded_server.server_close()
-        else:
-            server.stop()
+        server.stop()
         service.stop()
         print(
             f"served {service.remos.queries_answered} queries over "
@@ -593,18 +570,16 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--warmup", type=float, default=10.0, help="measurement time (s)")
     serve.add_argument("--traffic", help="competing traffic: src:dst:rateMbps[,...]")
     serve.add_argument(
-        "--threads", type=int, default=4, help="query thread-pool size per process"
+        "--threads",
+        type=int,
+        default=4,
+        help="query threads per process: the most requests answered at once",
     )
     serve.add_argument(
         "--workers",
         type=int,
         default=0,
         help="pre-forked worker processes on a shared socket (0 = single process)",
-    )
-    serve.add_argument(
-        "--threaded",
-        action="store_true",
-        help="use the legacy thread-per-connection server instead of asyncio",
     )
     serve.add_argument(
         "--federation",

@@ -124,6 +124,28 @@ class Cell:
         return f"<Cell {self.name!r} epoch={self.epoch}>"
 
 
+def bring_up(env, cells: Iterable[Cell | Collector], warmup: float = 0.0) -> None:
+    """Start every unready cell (or bare collector) and run *env* until
+    all are ready, then *warmup* more simulated seconds."""
+    for ready in [cell.start() for cell in cells if not cell.ready]:
+        env.run(until=ready)
+    if warmup > 0:
+        env.run(until=env.now + warmup)
+
+
+def refresh_cells(cells: Iterable[Cell], merge=None):
+    """One refresh pass: publish every ready cell in order, then *merge*.
+
+    Order is the contract: a merge step (a federation's aggregator) runs
+    last, so a summary is never newer than the cells it describes.
+    Returns the merge step's result (None without one).
+    """
+    for cell in cells:
+        if cell.ready:
+            cell.refresh()
+    return None if merge is None else merge()
+
+
 class ShardRegistry:
     """Host → owning cell lookup across a fleet of cells.
 

@@ -13,12 +13,25 @@ meaning of ``requested`` depends on which argument of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Hashable
 
 from repro.core.timeframe import Timeframe
 from repro.stats import StatMeasure
 from repro.util.errors import QueryError
+
+
+def _check_rates(what: str, requested: float, cap: float) -> None:
+    """A finite, non-negative request and a positive (possibly infinite) cap.
+
+    NaN fails both: it would answer zero or full capacity silently, and
+    never equals itself, so it would also miss every cache and batch key.
+    """
+    if not (math.isfinite(requested) and requested >= 0):
+        raise QueryError(f"{what}: request must be finite and non-negative, got {requested!r}")
+    if not cap > 0:
+        raise QueryError(f"{what}: cap must be positive, got {cap!r}")
 
 
 @dataclass(frozen=True)
@@ -32,10 +45,7 @@ class Flow:
     name: str | None = None
 
     def __post_init__(self) -> None:
-        if self.requested < 0:
-            raise QueryError(f"flow {self.src}->{self.dst}: negative request")
-        if self.cap <= 0:
-            raise QueryError(f"flow {self.src}->{self.dst}: cap must be positive")
+        _check_rates(f"flow {self.src}->{self.dst}", self.requested, self.cap)
 
     def label(self, index: int, klass: str) -> str:
         """Stable identifier used in answers (explicit name wins)."""
@@ -64,10 +74,7 @@ class MulticastFlow:
         object.__setattr__(self, "name", name)
         if not self.dsts:
             raise QueryError(f"multicast flow from {src!r} needs at least one receiver")
-        if self.requested < 0:
-            raise QueryError(f"multicast flow from {src!r}: negative request")
-        if self.cap <= 0:
-            raise QueryError(f"multicast flow from {src!r}: cap must be positive")
+        _check_rates(f"multicast flow from {src!r}", self.requested, self.cap)
 
     @property
     def dst(self) -> str:

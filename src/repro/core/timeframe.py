@@ -13,6 +13,7 @@ or expectations of future availability of resources" (§4).  Four kinds:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from repro.stats.predictors import known_predictors
@@ -41,8 +42,12 @@ class Timeframe:
     predictor: str = "ewma"
 
     def __post_init__(self) -> None:
-        if self.window < 0 or self.horizon < 0:
-            raise QueryError("timeframe window/horizon must be non-negative")
+        for value in (self.window, self.horizon):
+            if not (math.isfinite(value) and value >= 0):
+                raise QueryError(
+                    f"timeframe window/horizon must be finite and non-negative, "
+                    f"got {value!r}"
+                )
         if self.kind is TimeframeKind.HISTORY and self.window <= 0:
             raise QueryError("HISTORY timeframe requires a positive window")
         if self.kind is TimeframeKind.FUTURE and self.horizon <= 0:

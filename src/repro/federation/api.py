@@ -33,7 +33,7 @@ import weakref
 from typing import Hashable
 
 from repro import obs
-from repro.collector.cell import Cell, ShardRegistry
+from repro.collector.cell import Cell, ShardRegistry, refresh_cells
 from repro.core import snaparrays as _snaparrays
 from repro.core.flows import Flow, FlowInfoResult, FlowQuery, MulticastFlow
 from repro.core.graph import RemosEdge, RemosGraph, RemosNode
@@ -327,13 +327,9 @@ class FederatedRemos:
         service this is the one call that brings the whole federation to
         the current measurement state.
         """
-        for cell in self.registry.cells:
-            if cell.ready:
-                cell.refresh()
-        for backbone in self._backbones.values():
-            if backbone.ready:
-                backbone.refresh()
-        return self.aggregator.refresh()
+        return refresh_cells(
+            (*self.registry.cells, *self._backbones.values()), self.aggregator.refresh
+        )
 
     def snapshot(self) -> FederationSummary:
         """The current federation summary (raises before the first merge)."""

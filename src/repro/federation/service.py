@@ -1,30 +1,23 @@
 """FederationService: the query service over a federation of cells.
 
-The reader side — coalescing, SLOs, slow-query log, health — is inherited
-unchanged from :class:`~repro.service.core.QueryFrontEnd`, pointed at a
-:class:`~repro.federation.api.FederatedRemos` facade.  What differs is
-the writer: one **sweeper** thread advances the shared simulation engine
-and then runs a per-shard sweep phase — publish every region cell,
-publish the backbone, re-merge the aggregation tree — in that order, so
-readers always observe cell epochs at least as new as the summary built
-from them.  (One thread, many shards: the engine is not thread-safe, and
-a sweep is cheap — per-cell refresh is an O(1) stamp compare when nothing
+The reader side — coalescing, SLOs, slow-query log, health — and the
+writer loop are :class:`~repro.service.core.RemosService`'s, pointed at a
+:class:`~repro.federation.api.FederatedRemos` facade.  Each sweep advances
+the shared simulation engine, publishes every region cell, publishes the
+backbone and re-merges the aggregation tree, in that order, so readers
+always observe cell epochs at least as new as the summary built from
+them.  (One thread, many shards: the engine is not thread-safe, and a
+sweep is cheap — per-cell refresh is an O(1) stamp compare when nothing
 moved.)
 """
 
 from __future__ import annotations
 
-import threading
-import time
-
-from repro import obs
 from repro.federation.world import FederationWorld
-from repro.service.core import QueryFrontEnd
-
-_log = obs.get_logger("repro.federation.service")
+from repro.service.core import RemosService
 
 
-class FederationService(QueryFrontEnd):
+class FederationService(RemosService):
     """A snapshot-isolated query service over a :class:`FederationWorld`.
 
     Usage mirrors :class:`~repro.service.core.RemosService`::
@@ -42,8 +35,10 @@ class FederationService(QueryFrontEnd):
     sim_step:
         Simulated seconds advanced per sweeper iteration.
     **front_end:
-        Everything :class:`QueryFrontEnd` accepts.
+        Everything :class:`~repro.service.core.QueryFrontEnd` accepts.
     """
+
+    sweeper_name = "remos-fed-sweeper"
 
     def __init__(
         self,
@@ -52,97 +47,13 @@ class FederationService(QueryFrontEnd):
         sim_step: float = 1.0,
         **front_end,
     ):
-        super().__init__(world.make_remos(), **front_end)
+        super().__init__(
+            world.make_remos(),
+            world.env,
+            sweep_interval,
+            sim_step,
+            cells=world.all_cells(),
+            merge=world.aggregator.refresh,
+            **front_end,
+        )
         self.world = world
-        self._env = world.env
-        self._sweep_interval = sweep_interval
-        self._sim_step = sim_step
-        self._stop_event = threading.Event()
-        self._sweeper: threading.Thread | None = None
-        self._prepared = False
-
-    # -- lifecycle ---------------------------------------------------------------
-
-    def prepare(self, warmup: float = 0.0) -> "FederationService":
-        """Bring every cell to readiness and publish the first summary,
-        without starting any thread."""
-        if self._prepared:
-            return self
-        pending = [cell.start() for cell in self.world.all_cells() if not cell.ready]
-        if pending:
-            self._env.run(until=self._env.all_of(pending))
-        if warmup > 0:
-            self._env.run(until=self._env.now + warmup)
-        self.remos.refresh_all()
-        self.publishes = self.remos.publisher.publishes
-        self._prepared = True
-        return self
-
-    def start(self, warmup: float = 0.0) -> "FederationService":
-        """Prepare (if not already), then start the sweeper thread."""
-        if self._started:
-            return self
-        self.prepare(warmup)
-        self._activate()
-        self._sweeper = threading.Thread(
-            target=self._sweep_loop, name="remos-fed-sweeper", daemon=True
-        )
-        self._sweeper.start()
-        _log.info(
-            "federation_service_started",
-            shards=len(self.world.cells),
-            sweep_interval=self._sweep_interval,
-        )
-        return self
-
-    def stop(self) -> None:
-        """Stop the sweeper and every collector (idempotent)."""
-        if not self._started:
-            return
-        self._stop_event.set()
-        if self._sweeper is not None:
-            self._sweeper.join(timeout=5.0)
-            self._sweeper = None
-        super().stop()
-        self.world.stop()
-        self._stop_event = threading.Event()
-        self._prepared = False
-        _log.info("federation_service_stopped", sweeps=self.sweeps)
-
-    def __enter__(self) -> "FederationService":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.stop()
-        return False
-
-    def _sweep_loop(self) -> None:
-        """The single writer: advance, publish each shard, merge, repeat."""
-        while not self._stop_event.wait(self._sweep_interval):
-            started = time.perf_counter()
-            try:
-                self._env.run(until=self._env.now + self._sim_step)
-                # Shard phases before the merge: the summary must never be
-                # newer than the cells it describes.
-                for cell in self.world.cells.values():
-                    cell.refresh()
-                self.world.backbone.refresh()
-                self.world.aggregator.refresh()
-                self.sweeps += 1
-                self.publishes = self.remos.publisher.publishes
-                obs.inc(
-                    "remos_service_sweeps_total",
-                    help="Sweeper iterations completed by the query service",
-                )
-            except Exception as exc:
-                self.sweep_errors += 1
-                _log.error("sweep_failed", error=f"{type(exc).__name__}: {exc}")
-            finally:
-                elapsed = time.perf_counter() - started
-                self.last_sweep_seconds = elapsed
-                self.last_sweep_at = time.time()
-                obs.observe(
-                    "remos_sweep_seconds",
-                    elapsed,
-                    help="Wall-clock seconds per sweeper iteration",
-                )

@@ -15,6 +15,7 @@ by construction.
 from __future__ import annotations
 
 from repro.collector import Cell, CollectorMaster, ShardRegistry, SNMPCollector
+from repro.collector.cell import bring_up
 from repro.core import Remos
 from repro.federation.aggregator import Aggregator
 from repro.federation.api import FederatedRemos
@@ -105,11 +106,7 @@ class FederationWorld:
 
     def start_monitoring(self, warmup: float = 0.0) -> FederatedRemos:
         """Start every collector, run until all are ready, publish, merge."""
-        pending = [cell.start() for cell in self.all_cells() if not cell.ready]
-        if pending:
-            self.env.run(until=self.env.all_of(pending))
-        if warmup > 0:
-            self.env.run(until=self.env.now + warmup)
+        bring_up(self.env, self.all_cells(), warmup)
         remos = self.make_remos()
         remos.refresh_all()
         return remos

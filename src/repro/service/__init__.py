@@ -20,19 +20,20 @@ package is that deployment shape for the reproduction:
   concurrent-throughput win comes from under the GIL.
 
 ``repro serve`` (see :mod:`repro.cli`) exposes the service over HTTP with
-``/metrics`` for Prometheus scraping.  Two front ends share one
-transport-agnostic application layer (:mod:`repro.service.app`): the
-default asyncio event loop (:mod:`repro.service.aio`) and the legacy
-one-thread-per-connection server (:mod:`repro.service.http`,
-``--threaded``).  ``--workers N`` pre-forks N asyncio workers on a shared
-socket (:mod:`repro.service.workers`); the parent keeps the only sweeper
-and broadcasts each published epoch to the workers.  The full threading
+``/metrics`` for Prometheus scraping.  There is one front door: an
+asyncio event loop (:mod:`repro.service.aio`) that answers every request
+through the application layer (:mod:`repro.service.app`) on the
+service's query thread pool (``--threads``).  There is one writer loop:
+:class:`RemosService`'s sweeper, which a federation
+(:class:`~repro.federation.FederationService`) runs over more cells.
+``--workers N`` pre-forks N asyncio workers on a shared socket
+(:mod:`repro.service.workers`); the parent keeps the only sweeper and
+broadcasts each published epoch to the workers.  The full threading
 model is documented in ``docs/CONCURRENCY.md``.
 """
 
 from repro.service.aio import AioServer, AsyncHTTPServer, serve_aio
 from repro.service.core import QueryFrontEnd, RemosService
-from repro.service.http import serve_http
 from repro.service.workers import MultiProcessServer, WorkerReplica
 
 __all__ = [
@@ -43,5 +44,4 @@ __all__ = [
     "RemosService",
     "WorkerReplica",
     "serve_aio",
-    "serve_http",
 ]

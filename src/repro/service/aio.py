@@ -1,29 +1,29 @@
 """Asyncio HTTP front end for :class:`~repro.service.RemosService`.
 
-The default front door (``repro serve``): a single-threaded
+The one front door (``repro serve``): a single-threaded
 ``asyncio.start_server`` event loop multiplexes every connection —
 keep-alive HTTP/1.1, no thread or stack per idle socket — and hands each
 parsed request to the shared application layer
-(:func:`repro.service.app.handle_request`) on a thread-pool executor.
-Because one request is handled start-to-finish on one executor thread,
-the thread-local :class:`~repro.obs.context.TraceContext` binding, the
-SLO settlement and the slow-query forensics behave exactly as they do
-under the legacy threaded server (:mod:`repro.service.http`) — the
-end-to-end observability tests run against both.
+(:func:`repro.service.app.handle_request`) on the service's own query
+thread pool (:meth:`~repro.service.core.QueryFrontEnd.submit`, sized by
+``repro serve --threads``).  One request is handled start-to-finish on
+one pool thread, which is what makes the thread-local
+:class:`~repro.obs.context.TraceContext` binding, the SLO settlement and
+the slow-query forensics correct.  A request that arrives after the
+service stopped gets a **503**.
 
-Why this beats a thread per connection under the GIL: the service's
-coalescing queue (see ``docs/CONCURRENCY.md``) answers concurrent
-``flow_info`` requests in shared batches, so the front end's job is to
-*admit* many sockets cheaply and keep the executor fed — exactly what an
-event loop does.  The ``--workers N`` multi-process mode
-(:mod:`repro.service.workers`) stacks N of these servers on one shared
-listening socket.
+Why an event loop under the GIL: the service's coalescing queue (see
+``docs/CONCURRENCY.md``) answers concurrent ``flow_info`` requests in
+shared batches, so the front end's job is to *admit* many sockets
+cheaply and keep the pool fed — exactly what an event loop does.  The
+``--workers N`` multi-process mode (:mod:`repro.service.workers`) stacks
+N of these servers on one shared listening socket.
 
 Two entry points:
 
 * :func:`serve_aio` — run the event loop on a background thread; returns
-  an :class:`AioServer` handle with ``address`` and ``stop()``.  Drop-in
-  for :func:`repro.service.http.serve_http` callers (tests, benchmarks).
+  an :class:`AioServer` handle with ``address`` and ``stop()`` (tests,
+  benchmarks, ``repro serve``).
 * :class:`AsyncHTTPServer` — the awaitable pieces, for callers that
   already own a loop (the worker processes do).
 """
@@ -89,19 +89,12 @@ class AsyncHTTPServer:
     async def _client(self, reader, writer) -> None:
         peer = writer.get_extra_info("peername")
         client = peer[0] if peer else ""
-        loop = asyncio.get_running_loop()
         try:
             while True:
                 request = await self._read_request(reader, client)
                 if request is None:
                     break
-                # The app layer blocks (service queries, profile sleeps):
-                # run it on the default executor so the loop keeps
-                # admitting other connections.  Thread-local trace binding
-                # happens inside handle_request, on the executor thread.
-                response = await loop.run_in_executor(
-                    None, handle_request, self._service, request
-                )
+                response = await self._answer(request)
                 close = (request.header("connection") or "").lower() == "close"
                 await self._write_response(writer, response, close)
                 if close:
@@ -122,6 +115,20 @@ class AsyncHTTPServer:
                 await writer.wait_closed()
             except (ConnectionError, OSError):  # pragma: no cover - racy teardown
                 pass
+
+    async def _answer(self, request: Request) -> Response:
+        """Run the app layer on the service's query pool.
+
+        The app layer blocks (service queries, profile sleeps), so the
+        loop only waits on it and keeps admitting other connections.
+        Thread-local trace binding happens inside handle_request, on the
+        pool thread.
+        """
+        try:
+            future = self._service.submit(handle_request, self._service, request)
+        except RuntimeError:  # the service stopped: its pool is gone
+            return Response.json(503, {"error": "service is stopped"})
+        return await asyncio.wrap_future(future)
 
     @staticmethod
     async def _read_request(reader, client: str) -> Request | None:
@@ -179,9 +186,8 @@ class _BadRequest(Exception):
 class AioServer:
     """A running asyncio front end on a background thread.
 
-    Mirrors the ergonomics of ``ThreadingHTTPServer`` for callers that
-    manage the server from synchronous code: construct via
-    :func:`serve_aio`, read :attr:`address`, call :meth:`stop`.
+    For callers that manage the server from synchronous code: construct
+    via :func:`serve_aio`, read :attr:`address`, call :meth:`stop`.
     """
 
     def __init__(self, server_factory):

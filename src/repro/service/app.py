@@ -1,10 +1,9 @@
-"""Transport-agnostic HTTP application layer for the Remos service.
+"""The HTTP application layer of the Remos service.
 
-Both front ends — the legacy one-thread-per-connection server in
-:mod:`repro.service.http` and the default asyncio server in
-:mod:`repro.service.aio` — funnel every request through
-:func:`handle_request` here, so the request-scoped observability contract
-from ``docs/OBSERVABILITY.md`` holds identically regardless of transport:
+The asyncio front door (:mod:`repro.service.aio`) parses each request
+off the wire and funnels it through :func:`handle_request` here, so the
+request-scoped observability contract from ``docs/OBSERVABILITY.md``
+lives in one place:
 
 * every request runs under a :class:`~repro.obs.context.TraceContext` —
   parsed from an incoming W3C ``traceparent`` header or freshly generated
@@ -17,26 +16,60 @@ from ``docs/OBSERVABILITY.md`` holds identically regardless of transport:
 * ``/healthz`` answers **503** with machine-readable ``reasons`` when a
   freshness SLO is blown.
 
-Handlers are synchronous (the service's query methods are thread-safe
-blocking calls); the asyncio front end runs them in a thread-pool
-executor, which is also what makes the thread-local context binding
-correct there — one request handled start-to-finish on one thread.
+Handlers are synchronous; the door runs each one start-to-finish on
+one thread of the service's query pool.  Malformed requests — a body
+that is not a JSON object, a value of the wrong type, a non-finite
+number where a rate or duration belongs — answer **400** with a JSON
+``{"error": ...}`` body.
+
+Endpoints
+---------
+``GET /healthz``
+    Liveness plus the current snapshot epoch.  **503** with a
+    machine-readable ``reasons`` list when a freshness SLO is blown
+    (stale epoch, overlong sweep) — see ``RemosService.health``.
+``GET /metrics``
+    Prometheus text exposition of the global registry.
+``GET /telemetry``
+    The combined telemetry report as JSON (with SLO + slow-log sections).
+``GET /debug/slow``
+    The slow-query log, newest first: span tree, args, epoch stamps and
+    cache profile per record.  ``?limit=N`` caps the count.
+``GET /debug/slo``
+    Declared objectives: latency error budgets and freshness monitors,
+    plus the predictive-admission verdict counters when admission
+    control is configured.
+``GET /debug/profile?seconds=N``
+    Run the sampling wall-clock profiler for N seconds (default 2, max
+    30; ``interval`` in seconds optional, at least 1 ms and at most
+    ``seconds``) and return collapsed stacks as ``text/plain`` —
+    flamegraph-ready.  One profile at a time per process (409 otherwise).
+``GET /graph?nodes=a,b,c``
+    ``remos_get_graph`` over the named nodes.  Timeframe selection via
+    flat query parameters: ``timeframe=static|current|history|future``
+    with ``window``/``horizon``/``predictor`` as needed (for example
+    ``/graph?nodes=a,b&timeframe=future&horizon=30&predictor=auto``).
+``GET /node/<host>``
+    ``node_info`` for one compute host.  Accepts the same
+    ``timeframe``/``window``/``horizon``/``predictor`` parameters as
+    ``/graph``.
+``POST /flow_info``
+    Body: ``{"fixed": [...], "variable": [...], "independent": [...],
+    "timeframe": {...}}`` where each flow is ``{"src", "dst",
+    "requested"?, "cap"?, "name"?}`` and the timeframe is ``{"kind":
+    "static"|"current"|"history"|"future", "window"?, "horizon"?,
+    "predictor"?}`` (defaults to current).  The Python kwarg spellings
+    ``fixed_flows``/``variable_flows``/``independent_flows`` are
+    accepted as aliases.
 
 The query endpoints are also the enforcement point for **predictive
-admission control** (:mod:`repro.service.admission`): when the service's
-forecast of its own request rate crosses the configured threshold, FUTURE
-queries are degraded to CURRENT (``"timeframe_degraded": true`` in the
-body, ``X-Remos-Degraded`` header) or the request is shed with **503** and
-a ``Retry-After`` header, depending on the configured mode.  Health,
+admission control** (:mod:`repro.service.admission`, ``repro serve
+--admission-mode degrade|shed``): when the service's forecast of its own
+request rate crosses the configured threshold, FUTURE queries are
+degraded to CURRENT (``"timeframe_degraded": true`` in the body,
+``X-Remos-Degraded`` header) or the request is shed with **503** and a
+``Retry-After`` header, depending on the configured mode.  Health,
 metrics and debug endpoints are never shed.
-
-Endpoints (the docstring of :mod:`repro.service.http` documents the wire
-formats): ``GET /healthz``, ``GET /metrics``, ``GET /telemetry``,
-``GET /debug/slow``, ``GET /debug/slo``, ``GET /debug/profile``,
-``GET /graph?nodes=…``, ``GET /node/<host>``, ``POST /flow_info``.
-``/graph`` and ``/node/<host>`` accept ``timeframe`` / ``window`` /
-``horizon`` / ``predictor`` query parameters mirroring the JSON timeframe
-spec (``?timeframe=future&horizon=30&predictor=auto``).
 """
 
 from __future__ import annotations
@@ -50,10 +83,10 @@ from urllib.parse import parse_qs, urlparse
 
 from repro import obs
 from repro.core import Flow, Timeframe
-from repro.obs.profiler import SamplingProfiler
+from repro.obs.profiler import MIN_INTERVAL, SamplingProfiler
 from repro.util.errors import ReproError
 
-_log = obs.get_logger("repro.service.http")
+_log = obs.get_logger("repro.service.app")
 
 #: One profile at a time per process: the sampler reads every thread.
 _profile_lock = threading.Lock()
@@ -62,21 +95,45 @@ _profile_lock = threading.Lock()
 MAX_PROFILE_SECONDS = 30.0
 
 
-def _parse_flow(spec: dict) -> Flow:
+def _number(spec: dict, key: str, default: float) -> float:
+    """A numeric field of a request spec: a JSON number or numeric string.
+
+    Range and finiteness are :class:`Flow`'s and :class:`Timeframe`'s to
+    check; this only refuses values that are not numbers at all.
+    """
+    value = spec.get(key, default)
+    if not isinstance(value, bool) and isinstance(value, (int, float, str)):
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    raise ReproError(f"{key!r} must be a number, got {value!r}")
+
+
+def _string(spec: dict, key: str, default: str | None = None) -> str | None:
+    value = spec.get(key, default)
+    if value is not None and not isinstance(value, str):
+        raise ReproError(f"{key!r} must be a string, got {value!r}")
+    return value
+
+
+def _parse_flow(spec) -> Flow:
     if not isinstance(spec, dict) or "src" not in spec or "dst" not in spec:
         raise ReproError(f"flow spec needs src and dst: {spec!r}")
     return Flow(
-        src=spec["src"],
-        dst=spec["dst"],
-        requested=float(spec.get("requested", 1.0)),
-        cap=float(spec.get("cap", float("inf"))),
-        name=spec.get("name"),
+        src=_string(spec, "src"),
+        dst=_string(spec, "dst"),
+        requested=_number(spec, "requested", 1.0),
+        cap=_number(spec, "cap", float("inf")),
+        name=_string(spec, "name"),
     )
 
 
-def _parse_timeframe(spec: dict | None) -> Timeframe:
-    if not spec:
+def _parse_timeframe(spec) -> Timeframe:
+    if spec is None:
         return Timeframe.current()
+    if not isinstance(spec, dict):
+        raise ReproError(f"timeframe must be an object, got {spec!r}")
     kind = spec.get("kind", "current")
     if kind == "static":
         return Timeframe.static()
@@ -85,14 +142,14 @@ def _parse_timeframe(spec: dict | None) -> Timeframe:
     if kind == "history":
         if "window" not in spec:
             raise ReproError('history timeframe needs a "window" (seconds)')
-        return Timeframe.history(float(spec["window"]))
+        return Timeframe.history(_number(spec, "window", 0.0))
     if kind == "future":
         if "horizon" not in spec:
             raise ReproError('future timeframe needs a "horizon" (seconds)')
         return Timeframe.future(
-            float(spec["horizon"]),
-            predictor=spec.get("predictor", "ewma"),
-            window=float(spec.get("window", 60.0)),
+            _number(spec, "horizon", 0.0),
+            predictor=_string(spec, "predictor", "ewma"),
+            window=_number(spec, "window", 60.0),
         )
     raise ReproError(f"unknown timeframe kind {kind!r}")
 
@@ -224,44 +281,6 @@ def handle_request(service, request: Request) -> Response:
     return response
 
 
-def _observed_query(service, endpoint: str, args: dict, run) -> Response:
-    """Run a query endpoint under a span; slow-log it if it crawled."""
-    span = obs.span(f"http.{endpoint}")
-    stats = service.remos.cache_stats
-    hits, misses = stats.hits, stats.misses
-    started = time.perf_counter()
-    context = obs.current_context()
-    response: Response | None = None
-    error: BaseException | None = None
-    try:
-        with span:
-            response = run()
-            return response
-    except BaseException as exc:
-        error = exc
-        raise
-    finally:
-        duration = time.perf_counter() - started
-        snapshot = service.remos.publisher.current()
-        if error is not None:
-            args = {**args, "error": f"{type(error).__name__}: {error}"}
-        service.slowlog.observe(
-            endpoint,
-            duration,
-            trace_id=None if context is None else context.trace_id,
-            args=args,
-            epoch=None if snapshot is None else snapshot.epoch,
-            generation=None if snapshot is None else snapshot.generation,
-            structure_generation=(
-                None if snapshot is None else snapshot.structure_generation
-            ),
-            cache_hits=stats.hits - hits,
-            cache_misses=stats.misses - misses,
-            span_tree=span.tree() if isinstance(span, obs.Span) else None,
-            status=None if response is None else response.status,
-        )
-
-
 def _admit(service, endpoint: str, timeframe: Timeframe | None):
     """Consult predictive admission for one query request.
 
@@ -289,13 +308,24 @@ def _admit(service, endpoint: str, timeframe: Timeframe | None):
     return None, timeframe, False
 
 
-def _query_args(args: dict, timeframe: Timeframe | None, degraded: bool) -> dict:
-    """Slow-log arguments with the *effective* timeframe echoed."""
+def _answer_get(service, endpoint: str, args: dict, timeframe, answer) -> Response:
+    """Admit, answer and slow-log one GET query (``/graph``, ``/node``).
+
+    *answer* maps the effective (possibly degraded) timeframe to the
+    result; the slow-log arguments echo that timeframe.  The SLO is
+    settled by :func:`handle_request`, which times the whole request.
+    """
+    shed, timeframe, degraded = _admit(service, endpoint, timeframe)
+    if shed is not None:
+        return shed
     if timeframe is not None:
         args["timeframe"] = str(timeframe)
     if degraded:
         args["degraded"] = True
-    return args
+    with service.observe_query(
+        endpoint, f"http.{endpoint}", args, settle=False, status=200
+    ):
+        return _query_response(answer(timeframe).to_dict(), degraded)
 
 
 def _query_response(payload: dict, degraded: bool) -> Response:
@@ -344,31 +374,21 @@ def _route_get(service, url, request: Request) -> Response:
             for name in chunk.split(",")
             if name
         ]
-        timeframe = _timeframe_from_params(params)
-        shed, timeframe, degraded = _admit(service, "graph", timeframe)
-        if shed is not None:
-            return shed
-        return _observed_query(
+        return _answer_get(
             service,
             "graph",
-            _query_args({"nodes": nodes}, timeframe, degraded),
-            lambda: _query_response(
-                service.get_graph(nodes, timeframe).to_dict(), degraded
-            ),
+            {"nodes": nodes},
+            _timeframe_from_params(params),
+            lambda timeframe: service.get_graph(nodes, timeframe),
         )
     if url.path.startswith("/node/"):
         host = url.path[len("/node/") :]
-        timeframe = _timeframe_from_params(params)
-        shed, timeframe, degraded = _admit(service, "node", timeframe)
-        if shed is not None:
-            return shed
-        return _observed_query(
+        return _answer_get(
             service,
             "node",
-            _query_args({"host": host}, timeframe, degraded),
-            lambda: _query_response(
-                service.node_info(host, timeframe).to_dict(), degraded
-            ),
+            {"host": host},
+            _timeframe_from_params(params),
+            lambda timeframe: service.node_info(host, timeframe),
         )
     return Response.json(404, {"error": f"no such path {url.path!r}"})
 
@@ -380,6 +400,10 @@ def _route_profile(params: dict) -> Response:
     if not 0.0 < seconds <= MAX_PROFILE_SECONDS:
         raise ReproError(
             f"seconds must be in (0, {MAX_PROFILE_SECONDS:g}], got {seconds:g}"
+        )
+    if not MIN_INTERVAL <= interval <= seconds:
+        raise ReproError(
+            f"interval must be in [{MIN_INTERVAL:g}, seconds], got {interval:g}"
         )
     if not _profile_lock.acquire(blocking=False):
         return Response.json(409, {"error": "a profile is already running"})
@@ -400,11 +424,15 @@ def _route_profile(params: dict) -> Response:
 
 def _route_post(service, url, request: Request) -> Response:
     body = json.loads(request.body.decode("utf-8") or "{}")
+    if not isinstance(body, dict):
+        raise ReproError(f"request body must be a JSON object, got {body!r}")
     if url.path == "/flow_info":
         # Accept both the short key and the Python kwarg name
         # ("variable" / "variable_flows", etc.).
         def flows(key: str) -> list[Flow]:
             specs = body.get(key, body.get(f"{key}_flows", []))
+            if not isinstance(specs, list):
+                raise ReproError(f"{key!r} must be a list of flows, got {specs!r}")
             return [_parse_flow(f) for f in specs]
 
         timeframe = _parse_timeframe(body.get("timeframe"))

@@ -9,7 +9,9 @@ Two layers live here:
   worker replicas (:mod:`repro.service.workers`) subclass it directly.
 * :class:`RemosService` — the full single-process service: a front end
   plus the background **sweeper** thread that owns every mutation
-  (advance the engine, refresh the collector master, publish).
+  (advance the engine, refresh each cell, merge, publish).  It is the
+  only writer loop; a federation service is the same loop over more
+  cells.
 """
 
 from __future__ import annotations
@@ -17,9 +19,11 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import contextmanager
 
 from repro import obs
-from repro.collector import Cell, Collector, CollectorMaster
+from repro.collector import Cell, Collector
+from repro.collector.cell import bring_up, refresh_cells
 from repro.core import Flow, FlowInfoResult, FlowQuery, Remos, Timeframe
 from repro.core.snapshot import Snapshot
 from repro.obs.slo import SLORegistry
@@ -77,7 +81,9 @@ class QueryFrontEnd:
     max_batch:
         Most flow_info requests answered by one coalesced batch.
     workers:
-        Thread-pool size for :meth:`flow_info_async`.
+        Size of the query thread pool (``repro serve --threads``): the
+        HTTP door answers every request on it (:meth:`submit`), so at
+        most this many requests run at once per process.
     slow_query_threshold:
         Wall-clock seconds above which a completed query is recorded in
         the slow-query log (0 records everything; see
@@ -120,6 +126,8 @@ class QueryFrontEnd:
     ):
         if max_batch < 1:
             raise ConfigurationError("max_batch must be at least 1")
+        if workers < 1:
+            raise ConfigurationError("workers must be at least 1")
         self._max_batch = max_batch
         self._workers = workers
         #: Queries never publish: the snapshot source is the single writer.
@@ -202,7 +210,18 @@ class QueryFrontEnd:
     def running(self) -> bool:
         return self._started
 
-    def stop(self) -> None:
+    def submit(self, fn, *args) -> Future:
+        """Run ``fn(*args)`` on the query thread pool.
+
+        Raises :class:`RuntimeError` once the service is stopped (the
+        pool is gone, or shutting down).
+        """
+        executor = self._executor
+        if executor is None:
+            raise RuntimeError("service is stopped")
+        return executor.submit(fn, *args)
+
+    def _deactivate(self) -> None:
         """Close the query thread pool (idempotent)."""
         if self._executor is not None:
             self._executor.shutdown(wait=True)
@@ -285,42 +304,20 @@ class QueryFrontEnd:
         )
         pending = _Pending(query, timeframe)
         shard = self._shard_of_query(query)
-        span = obs.span("service.flow_info")
-        stats = self.remos.cache_stats
-        hits, misses = stats.hits, stats.misses
-        started = time.perf_counter()
-        error: BaseException | None = None
-        try:
-            with span as sp:
-                result = self._coalesce(pending)
-                if sp:
-                    sp.set(
-                        flows=len(query.flows),
-                        coalesced=pending.leader_span is not None
-                        and pending.leader_span[0] != sp.trace_id,
-                    )
-                    if shard is not None:
-                        sp.set(shard=shard)
-                    if (
-                        pending.leader_span is not None
-                        and pending.leader_span[0] != sp.trace_id
-                    ):
-                        sp.add_link(*pending.leader_span, role="coalescing_leader")
-                return result
-        except BaseException as exc:
-            error = exc
-            raise
-        finally:
-            self._finish_query(
-                "flow_info",
-                time.perf_counter() - started,
-                args=self._flow_args(query, timeframe),
-                cache_hits=stats.hits - hits,
-                cache_misses=stats.misses - misses,
-                span=span,
-                error=error,
-                shard=shard,
-            )
+        args = self._flow_args(query, timeframe)
+        with self.observe_query("flow_info", "service.flow_info", args, shard=shard) as sp:
+            result = self._coalesce(pending)
+            if sp:
+                followed = (
+                    pending.leader_span is not None
+                    and pending.leader_span[0] != sp.trace_id
+                )
+                sp.set(flows=len(query.flows), coalesced=followed)
+                if shard is not None:
+                    sp.set(shard=shard)
+                if followed:
+                    sp.add_link(*pending.leader_span, role="coalescing_leader")
+            return result
 
     def _coalesce(self, pending: _Pending) -> FlowInfoResult:
         """The leader/follower protocol: wait, or drain a group and lead."""
@@ -388,48 +385,69 @@ class QueryFrontEnd:
             "timeframe": str(timeframe),
         }
 
-    def _finish_query(
+    @contextmanager
+    def observe_query(
         self,
         endpoint: str,
-        duration: float,
+        span_name: str,
         args: dict,
-        cache_hits: int,
-        cache_misses: int,
-        span,
-        error: BaseException | None,
         shard: str | None = None,
-    ) -> None:
-        """Feed one completed query into the SLO and the slow-query log."""
-        self.slos.record_request(endpoint, duration)
-        if duration < self.slowlog.threshold_seconds and error is None:
-            self.slowlog.observe(endpoint, duration)  # count it, record nothing
-            return
-        if error is not None:
-            args = {**args, "error": f"{type(error).__name__}: {error}"}
-        snapshot = self.remos.publisher.current()
-        tree = span.tree() if isinstance(span, obs.Span) else None
-        context = obs.current_context()
-        if context is not None:
-            trace_id = context.trace_id
-        elif isinstance(span, obs.Span):
-            trace_id = span.trace_id
-        else:
-            trace_id = None
-        self.slowlog.observe(
-            endpoint,
-            duration,
-            trace_id=trace_id,
-            args=args,
-            epoch=None if snapshot is None else snapshot.epoch,
-            generation=None if snapshot is None else snapshot.generation,
-            structure_generation=(
-                None if snapshot is None else snapshot.structure_generation
-            ),
-            cache_hits=cache_hits,
-            cache_misses=cache_misses,
-            span_tree=tree,
-            shard=shard,
-        )
+        settle: bool = True,
+        status: int | None = None,
+    ):
+        """Run one query under a *span_name* span, then account for it.
+
+        The completed query settles the *endpoint* latency SLO (unless
+        *settle* is false: the HTTP layer settles the endpoints it times
+        itself) and is offered to the slow-query log with its span tree,
+        arguments, epoch stamps and cache-hit profile; *status* is
+        recorded when the query succeeds.  Yields the span (falsy when
+        tracing is off).
+        """
+        span = obs.span(span_name)
+        stats = self.remos.cache_stats
+        hits, misses = stats.hits, stats.misses
+        started = time.perf_counter()
+        error: BaseException | None = None
+        try:
+            with span as sp:
+                yield sp
+        except BaseException as exc:
+            error = exc
+            raise
+        finally:
+            duration = time.perf_counter() - started
+            if settle:
+                self.slos.record_request(endpoint, duration)
+            if duration < self.slowlog.threshold_seconds and error is None:
+                self.slowlog.observe(endpoint, duration)  # count it, record nothing
+            else:
+                if error is not None:
+                    args = {**args, "error": f"{type(error).__name__}: {error}"}
+                    status = None
+                traced = isinstance(span, obs.Span)
+                context = obs.current_context()
+                if context is None:
+                    trace_id = span.trace_id if traced else None
+                else:
+                    trace_id = context.trace_id
+                snapshot = self.remos.publisher.current()
+                self.slowlog.observe(
+                    endpoint,
+                    duration,
+                    trace_id=trace_id,
+                    args=args,
+                    epoch=None if snapshot is None else snapshot.epoch,
+                    generation=None if snapshot is None else snapshot.generation,
+                    structure_generation=(
+                        None if snapshot is None else snapshot.structure_generation
+                    ),
+                    cache_hits=stats.hits - hits,
+                    cache_misses=stats.misses - misses,
+                    span_tree=span.tree() if traced else None,
+                    shard=shard,
+                    status=status,
+                )
 
     def _execute_group(self, group: list[_Pending]) -> None:
         """Answer one drained group with a single batched query."""
@@ -475,12 +493,6 @@ class QueryFrontEnd:
             amount=len(group),
             help="flow_info requests answered through coalesced batches",
         )
-
-    def flow_info_async(self, **kwargs) -> Future:
-        """Submit :meth:`flow_info` to the service's thread pool."""
-        if self._executor is None:
-            raise ConfigurationError("service is not running; call start() first")
-        return self._executor.submit(self.flow_info, **kwargs)
 
     def get_graph(self, nodes: list[str], timeframe: Timeframe | None = None):
         """Delegate to :meth:`Remos.get_graph` (snapshot-isolated)."""
@@ -551,13 +563,15 @@ class QueryFrontEnd:
 
 
 class RemosService(QueryFrontEnd):
-    """A snapshot-isolated Remos query service over one collector stack.
+    """A snapshot-isolated Remos query service: readers plus one writer.
 
     One background **sweeper** thread owns every mutation: it steps the
-    simulation engine, refreshes the collector master (when there is one),
-    and publishes each completed sweep as an immutable snapshot.  The
-    reader side — queries, coalescing, SLOs, slow log — is inherited from
-    :class:`QueryFrontEnd`.
+    simulation engine, refreshes the service's cells in order (each
+    publishes an immutable snapshot), then runs the optional merge step.
+    A single cell sweeps ``(cell,)``; a federation
+    (:class:`~repro.federation.service.FederationService`) sweeps its
+    region cells, then the backbone, then merges the aggregation tree.
+    The reader side is inherited from :class:`QueryFrontEnd`.
 
     Parameters
     ----------
@@ -565,7 +579,8 @@ class RemosService(QueryFrontEnd):
         The collector (or :class:`CollectorMaster`) to serve queries from,
         or an already-wrapped :class:`~repro.collector.cell.Cell`.  A bare
         collector is wrapped in ``Cell("root", ...)`` — a single-cell
-        deployment is just a federation of one.
+        deployment is just a federation of one.  With *cells* given, any
+        facade :class:`QueryFrontEnd` accepts.
     env:
         The simulation engine the sweeper advances.  Only the sweeper
         thread may run it.
@@ -573,6 +588,11 @@ class RemosService(QueryFrontEnd):
         Wall-clock seconds between sweeper iterations.
     sim_step:
         Simulated seconds advanced per sweeper iteration.
+    cells:
+        The cells each sweep refreshes, in order (default: the one cell
+        *collector* names).
+    merge:
+        Called after every refresh pass (default: nothing).
     **front_end:
         Everything :class:`QueryFrontEnd` accepts (``max_batch``,
         ``workers``, ``slow_query_threshold``, ``slow_log_capacity``,
@@ -581,18 +601,25 @@ class RemosService(QueryFrontEnd):
         ``admission_retry_after``).
     """
 
+    #: Thread name of the single writer.
+    sweeper_name = "remos-sweeper"
+
     def __init__(
         self,
         collector: Collector,
         env: Engine,
         sweep_interval: float = 0.02,
         sim_step: float = 1.0,
+        cells: tuple[Cell, ...] | None = None,
+        merge=None,
         **front_end,
     ):
-        cell = collector if isinstance(collector, Cell) else Cell("root", collector)
-        super().__init__(cell, **front_end)
-        self._cell = cell
-        self._collector = cell.collector
+        if cells is None:
+            collector = collector if isinstance(collector, Cell) else Cell("root", collector)
+            cells = (collector,)
+        super().__init__(collector, **front_end)
+        self._cells = tuple(cells)
+        self._merge = merge
         self._env = env
         self._sweep_interval = sweep_interval
         self._sim_step = sim_step
@@ -610,8 +637,8 @@ class RemosService(QueryFrontEnd):
     # -- lifecycle ---------------------------------------------------------------
 
     def prepare(self, warmup: float = 0.0) -> "RemosService":
-        """Run the collector to readiness (+ *warmup* simulated seconds)
-        and publish the first snapshot — **without starting any thread**.
+        """Run every cell to readiness (+ *warmup* simulated seconds) and
+        publish the first snapshot — **without starting any thread**.
 
         The multi-process front door calls this before forking its
         workers so the fork happens while the parent is still
@@ -620,12 +647,8 @@ class RemosService(QueryFrontEnd):
         """
         if self._prepared:
             return self
-        if not self._collector.ready:
-            ready = self._collector.start()
-            self._env.run(until=ready)
-        if warmup > 0:
-            self._env.run(until=self._env.now + warmup)
-        self._cell.refresh()
+        bring_up(self._env, self._cells, warmup)
+        refresh_cells(self._cells, self._merge)
         self.publishes = self.remos.publisher.publishes
         self._prepared = True
         return self
@@ -637,22 +660,27 @@ class RemosService(QueryFrontEnd):
         self.prepare(warmup)
         self._activate()
         self._sweeper = threading.Thread(
-            target=self._sweep_loop, name="remos-sweeper", daemon=True
+            target=self._sweep_loop, name=self.sweeper_name, daemon=True
         )
         self._sweeper.start()
-        _log.info("service_started", sweep_interval=self._sweep_interval)
+        _log.info(
+            "service_started",
+            cells=len(self._cells),
+            sweep_interval=self._sweep_interval,
+        )
         return self
 
     def stop(self) -> None:
-        """Stop the sweeper and the collector (idempotent)."""
+        """Stop the sweeper, the query pool and every cell (idempotent)."""
         if not self._started:
             return
         self._stop_event.set()
         if self._sweeper is not None:
             self._sweeper.join(timeout=5.0)
             self._sweeper = None
-        super().stop()
-        self._collector.stop()
+        self._deactivate()
+        for cell in self._cells:
+            cell.stop()
         self._stop_event = threading.Event()
         self._prepared = False
         _log.info("service_stopped", sweeps=self.sweeps, publishes=self.publishes)
@@ -665,12 +693,12 @@ class RemosService(QueryFrontEnd):
         return False
 
     def _sweep_loop(self) -> None:
-        """The single writer: advance, merge, publish, repeat."""
+        """The single writer: advance, refresh each cell, merge, repeat."""
         while not self._stop_event.wait(self._sweep_interval):
             started = time.perf_counter()
             try:
                 self._env.run(until=self._env.now + self._sim_step)
-                self._cell.refresh()
+                refresh_cells(self._cells, self._merge)
                 self.sweeps += 1
                 self.publishes = self.remos.publisher.publishes
                 obs.inc(

@@ -142,7 +142,7 @@ class WorkerReplica(QueryFrontEnd):
         if self._listener is not None:
             self._listener.join(timeout=2.0)
             self._listener = None
-        super().stop()
+        self._deactivate()
 
 
 def _worker_main(sock: socket.socket, conn, front_end: dict) -> None:

@@ -29,8 +29,6 @@ from repro.sim.events import (
 )
 from repro.sim.process import Process
 from repro.sim.engine import Engine
-from repro.sim.resources import Resource, PriorityResource
-from repro.sim.store import Store
 
 __all__ = [
     "Engine",
@@ -41,7 +39,4 @@ __all__ = [
     "AnyOf",
     "Interrupt",
     "Process",
-    "Resource",
-    "PriorityResource",
-    "Store",
 ]

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.collector import SNMPCollector
+from repro.collector.cell import bring_up
 from repro.core import Remos
 from repro.fx import FxRuntime
 from repro.net import Topology
@@ -64,11 +65,7 @@ class World:
         """Start the collector, run until ready (+ warmup), return Remos."""
         if self.collector is None:
             raise ConfigurationError("world has no collector")
-        if not self.collector.ready:
-            ready = self.collector.start()
-            self.env.run(until=ready)
-        if warmup > 0:
-            self.env.run(until=self.env.now + warmup)
+        bring_up(self.env, (self.collector,), warmup)
         return self.make_remos()
 
     def make_remos(self) -> Remos:

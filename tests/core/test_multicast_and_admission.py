@@ -56,6 +56,8 @@ class TestMulticastQueries:
             MulticastFlow("h1", [])
         with pytest.raises(QueryError, match="negative"):
             MulticastFlow("h1", ["h2"], requested=-1)
+        with pytest.raises(QueryError, match="cap must be positive"):
+            MulticastFlow("h1", ["h2"], cap=float("nan"))
 
     def test_multicast_unknown_receiver(self, remos):
         with pytest.raises(QueryError, match="unknown flow endpoint"):

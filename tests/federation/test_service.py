@@ -8,7 +8,6 @@ the per-shard epoch gauges a fleet dashboard scrapes.
 
 import io
 import json
-import threading
 import urllib.error
 import urllib.request
 
@@ -18,7 +17,7 @@ from repro import obs
 from repro.core import Flow
 from repro.federation import FederationService, FederationWorld
 from repro.obs.promparse import parse as prom_parse
-from repro.service import serve_http
+from repro.service import serve_aio
 
 TRACEPARENT = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
 TRACE_ID = "4bf92f3577b34da6a3ce929d0e0e4736"
@@ -42,14 +41,11 @@ def live():
         slow_query_threshold=0.0,  # record every query: shard tags under test
     )
     service.start(warmup=4.0)
-    server = serve_http(service, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    server = serve_aio(service, port=0)
     try:
-        yield f"http://127.0.0.1:{server.server_address[1]}", service
+        yield f"http://127.0.0.1:{server.address[1]}", service
     finally:
-        server.shutdown()
-        server.server_close()
+        server.stop()
         service.stop()
         obs.reset_observability()
 

@@ -8,7 +8,6 @@ the end-to-end assertions deterministic.
 """
 
 import json
-import threading
 import urllib.error
 import urllib.request
 
@@ -16,7 +15,7 @@ import pytest
 
 from repro import obs
 from repro.core import Timeframe
-from repro.service import RemosService, serve_aio, serve_http
+from repro.service import RemosService, serve_aio
 from repro.service.admission import AdmissionController
 from repro.testbed import build_cmu_testbed
 from repro.util.errors import ConfigurationError
@@ -94,7 +93,7 @@ class TestController:
 
 @pytest.fixture(scope="module")
 def live():
-    """(threaded_url, aio_url, service) with admission initially off."""
+    """(base_url, service) over the asyncio door, admission initially off."""
     obs.reset_observability()
     obs.configure_observability(metrics=True, tracing=True, logging=False)
     world = build_cmu_testbed(poll_interval=0.5)
@@ -107,20 +106,11 @@ def live():
         admission_threshold_qps=0.0,  # zero: first arrival predicts overload
     )
     service.start(warmup=5.0)
-    server = serve_http(service, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    aio = serve_aio(service, port=0)
+    server = serve_aio(service, port=0)
     try:
-        yield (
-            f"http://127.0.0.1:{server.server_address[1]}",
-            f"http://{aio.address[0]}:{aio.address[1]}",
-            service,
-        )
+        yield f"http://{server.address[0]}:{server.address[1]}", service
     finally:
-        aio.stop()
-        server.shutdown()
-        server.server_close()
+        server.stop()
         service.stop()
         obs.reset_observability()
 
@@ -128,7 +118,7 @@ def live():
 @pytest.fixture
 def admission(live):
     """The live controller, restored to off after each test."""
-    _, _, service = live
+    _, service = live
     controller = service.admission
     yield controller
     controller.mode = "off"
@@ -156,7 +146,7 @@ HOST = "m-1"  # a CMU-testbed compute host
 
 class TestTimeframeParams:
     def test_node_accepts_future_params(self, live):
-        base, _, _ = live
+        base, _ = live
         status, _, body = _get(
             base + f"/node/{HOST}?timeframe=future&horizon=30&predictor=auto"
         )
@@ -164,7 +154,7 @@ class TestTimeframeParams:
         assert json.loads(body)["name"] == HOST
 
     def test_graph_accepts_history_params(self, live):
-        base, _, _ = live
+        base, _ = live
         status, _, body = _get(
             base + "/graph?nodes=m-1,m-2&timeframe=history&window=30"
         )
@@ -172,7 +162,7 @@ class TestTimeframeParams:
         assert "edges" in json.loads(body)
 
     def test_unknown_predictor_is_400(self, live):
-        base, _, _ = live
+        base, _ = live
         status, _, body = _get(
             base + f"/node/{HOST}?timeframe=future&horizon=30&predictor=crystal"
         )
@@ -180,7 +170,7 @@ class TestTimeframeParams:
         assert "unknown predictor" in json.loads(body)["error"]
 
     def test_timeframe_echoed_in_slow_log(self, live):
-        base, _, _ = live
+        base, _ = live
         _get(base + f"/node/{HOST}?timeframe=future&horizon=12&predictor=ewma")
         _, _, body = _get(base + "/debug/slow?limit=50")
         records = json.loads(body)["records"]
@@ -194,7 +184,7 @@ class TestTimeframeParams:
 
 class TestShedOverHttp:
     def test_shed_is_503_with_retry_after(self, live, admission):
-        base, _, _ = live
+        base, _ = live
         admission.mode = "shed"
         status, headers, body = _get(base + f"/node/{HOST}")
         assert status == 503
@@ -204,7 +194,7 @@ class TestShedOverHttp:
         assert payload["predicted_qps"] > 0.0
 
     def test_flow_info_shed_and_counted(self, live, admission):
-        base, _, _ = live
+        base, _ = live
         admission.mode = "shed"
         shed_before = admission.shed
         status, headers, _ = _post(
@@ -218,7 +208,7 @@ class TestShedOverHttp:
         assert "remos_query_shed_total" in metrics
 
     def test_health_and_debug_stay_reachable(self, live, admission):
-        base, _, _ = live
+        base, _ = live
         admission.mode = "shed"
         assert _get(base + "/healthz")[0] == 200
         status, _, body = _get(base + "/debug/slo")
@@ -228,9 +218,9 @@ class TestShedOverHttp:
         assert report["admission"]["shed"] > 0
 
     def test_aio_front_end_sheds_identically(self, live, admission):
-        _, aio_base, _ = live
+        base, _ = live
         admission.mode = "shed"
-        status, headers, body = _get(aio_base + f"/node/{HOST}")
+        status, headers, body = _get(base + f"/node/{HOST}")
         assert status == 503
         assert headers["Retry-After"] == "1"
         assert "shed" in json.loads(body)["error"]
@@ -238,7 +228,7 @@ class TestShedOverHttp:
 
 class TestDegradeOverHttp:
     def test_future_flow_info_degrades_to_current(self, live, admission):
-        base, _, _ = live
+        base, _ = live
         admission.mode = "degrade"
         degraded_before = admission.degraded
         status, headers, body = _post(
@@ -256,7 +246,7 @@ class TestDegradeOverHttp:
         assert "remos_query_degraded_total" in metrics
 
     def test_current_flow_info_unmarked(self, live, admission):
-        base, _, _ = live
+        base, _ = live
         admission.mode = "degrade"
         status, headers, body = _post(
             base + "/flow_info",
@@ -267,7 +257,7 @@ class TestDegradeOverHttp:
         assert "timeframe_degraded" not in json.loads(body)
 
     def test_node_future_params_degrade(self, live, admission):
-        base, _, _ = live
+        base, _ = live
         admission.mode = "degrade"
         status, headers, body = _get(
             base + f"/node/{HOST}?timeframe=future&horizon=30"
@@ -277,10 +267,10 @@ class TestDegradeOverHttp:
         assert json.loads(body)["timeframe_degraded"] is True
 
     def test_aio_front_end_degrades_identically(self, live, admission):
-        _, aio_base, _ = live
+        base, _ = live
         admission.mode = "degrade"
         status, headers, body = _get(
-            aio_base + f"/node/{HOST}?timeframe=future&horizon=30"
+            base + f"/node/{HOST}?timeframe=future&horizon=30"
         )
         assert status == 200
         assert headers["X-Remos-Degraded"] == "future->current"
@@ -289,7 +279,7 @@ class TestDegradeOverHttp:
 
 class TestFrontEndConfig:
     def test_admission_settings_in_front_end_config(self, live):
-        _, _, service = live
+        _, service = live
         config = service.front_end_config()
         assert config["admission_mode"] == "off"
         assert config["admission_threshold_qps"] == 0.0
@@ -303,7 +293,7 @@ class TestFrontEndConfig:
         assert clone.mode == service.admission.mode
 
     def test_telemetry_reports_admission_and_forecast(self, live):
-        base, _, _ = live
+        base, _ = live
         _, _, body = _get(base + "/telemetry")
         report = json.loads(body)
         assert "admission" in report

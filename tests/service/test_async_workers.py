@@ -13,6 +13,7 @@ HTTP from every worker while only the parent sweeps.
 
 import json
 import multiprocessing
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -22,7 +23,7 @@ import pytest
 
 from repro import obs
 from repro.core import Flow
-from repro.service import MultiProcessServer, RemosService, serve_aio
+from repro.service import MultiProcessServer, RemosService, aio, serve_aio
 from repro.service.workers import WorkerReplica
 from repro.testbed import build_cmu_testbed
 
@@ -152,6 +153,52 @@ class TestAsyncFrontEnd:
         assert b"remos_scalar_solves_total" not in body
         assert b"remos_snapshot_epoch" in body
 
+    @pytest.mark.parametrize(
+        "target, body",
+        [
+            # Non-finite numbers, as strings and as bare JSON tokens.
+            ("/flow_info", '{"variable": [{"src": "m-1", "dst": "m-4", "cap": "nan"}]}'),
+            ("/flow_info", '{"variable": [{"src": "m-1", "dst": "m-4", "cap": NaN}]}'),
+            ("/flow_info", '{"variable": [{"src": "m-1", "dst": "m-4", "requested": "nan"}]}'),
+            ("/flow_info", '{"variable": [{"src": "m-1", "dst": "m-4", "requested": "inf"}]}'),
+            ("/flow_info", '{"fixed": [{"src": "m-1", "dst": "m-4", "requested": Infinity}]}'),
+            ("/flow_info", '{"variable": [{"src": "m-1", "dst": "m-4"}],'
+                           ' "timeframe": {"kind": "history", "window": "nan"}}'),
+            ("/flow_info", '{"variable": [{"src": "m-1", "dst": "m-4"}],'
+                           ' "timeframe": {"kind": "history", "window": "inf"}}'),
+            ("/flow_info", '{"variable": [{"src": "m-1", "dst": "m-4"}],'
+                           ' "timeframe": {"kind": "future", "horizon": "nan"}}'),
+            ("/node/m-1?timeframe=history&window=nan", None),
+            ("/graph?nodes=m-1,m-4&timeframe=future&horizon=inf", None),
+            # Valid JSON of the wrong shape.
+            ("/flow_info", "[1, 2]"),
+            ("/flow_info", '{"variable": [{"src": "m-1", "dst": "m-4"}], "timeframe": "history"}'),
+            ("/flow_info", '{"variable": [{"src": "m-1", "dst": "m-4", "requested": [1]}]}'),
+            ("/flow_info", '{"variable": [{"src": ["x"], "dst": "m-4"}]}'),
+            ("/flow_info", '{"variable": 5}'),
+            ("/flow_info", '{"variable": [{"src": "m-1", "dst": "m-4"}],'
+                           ' "timeframe": {"kind": "future", "horizon": 5, "predictor": [1]}}'),
+            ("/debug/profile?seconds=1&interval=0", None),
+            ("/debug/profile?seconds=1&interval=nan", None),
+        ],
+    )
+    def test_malformed_or_non_finite_query_answers_400(self, live, target, body):
+        _, _, base = live
+        status, reply, _ = fetch(
+            base + target, data=None if body is None else body.encode()
+        )
+        assert status == 400, reply
+        assert isinstance(strict_json(reply)["error"], str)
+
+    def test_infinite_cap_is_no_cap(self, live):
+        _, _, base = live
+        status, reply, _ = fetch(
+            base + "/flow_info",
+            data=b'{"variable": [{"src": "m-1", "dst": "m-4", "cap": "inf"}]}',
+        )
+        assert status == 200
+        assert strict_json(reply)["variable"]
+
     def test_slow_queries_recorded(self, live):
         service, _, base = live
         payload = json.dumps(
@@ -249,3 +296,61 @@ class TestWorkerHandoff:
         finally:
             server.stop()
         assert not server.pids
+
+
+class TestQueryPool:
+    """The door answers on the service's own pool, sized by ``workers``."""
+
+    def test_door_answers_on_the_query_pool(self, monkeypatch):
+        obs.configure_observability(metrics=True, tracing=False, logging=False)
+        service = RemosService.from_world(
+            build_cmu_testbed(poll_interval=0.5), sweep_interval=0.05, workers=1
+        )
+        service.start(warmup=2.0)
+        lock = threading.Lock()
+        threads: list[str] = []
+        running = [0, 0]  # (now, peak)
+        handle = aio.handle_request
+
+        def observed(svc, request):
+            with lock:
+                threads.append(threading.current_thread().name)
+                running[0] += 1
+                running[1] = max(running)
+            time.sleep(0.05)  # long enough for the other requests to queue
+            try:
+                return handle(svc, request)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        monkeypatch.setattr(aio, "handle_request", observed)
+        server = serve_aio(service, port=0)
+        base = f"http://{server.address[0]}:{server.address[1]}"
+        try:
+            statuses = []
+            clients = [
+                threading.Thread(target=lambda: statuses.append(fetch(base + "/healthz")[0]))
+                for _ in range(4)
+            ]
+            for client in clients:
+                client.start()
+            for client in clients:
+                client.join(timeout=30)
+                assert not client.is_alive()
+            assert statuses == [200] * 4
+            assert len(threads) == 4
+            assert all(name.startswith("remos-query") for name in threads), threads
+            assert running[1] == 1
+
+            # After stop() the pool is gone: the door answers 503 itself.
+            service.stop()
+            status, reply, _ = fetch(
+                base + "/flow_info", data=b'{"variable": [{"src": "m-1", "dst": "m-4"}]}'
+            )
+            assert status == 503
+            assert "stopped" in strict_json(reply)["error"]
+            assert len(threads) == 4
+        finally:
+            server.stop()
+            service.stop()

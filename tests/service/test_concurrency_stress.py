@@ -172,7 +172,7 @@ class TestSnapshotImmutability:
         service = _make_service()
         try:
             snap = service.remos.snapshot()
-            live = service._collector.view()
+            live = service._cells[0].view()
             assert live is not snap.view
             assert not live.frozen
             generation = snap.generation
@@ -214,20 +214,6 @@ class TestServiceLifecycle:
         assert not service.running
         service.stop()  # second stop is a no-op
         assert not service.running
-
-    def test_flow_info_async_uses_pool(self):
-        service = _make_service()
-        try:
-            futures = [
-                service.flow_info_async(variable_flows=QUERY_FLOWS)
-                for _ in range(8)
-            ]
-            for future in futures:
-                result = future.result(timeout=30)
-                assert result.answers[0].label == "a"
-            assert service.queries_batched >= 8
-        finally:
-            service.stop()
 
     def test_bad_query_in_batch_only_fails_its_requester(self):
         service = _make_service()

@@ -17,7 +17,7 @@ import pytest
 from repro import obs
 from repro.core import Flow
 from repro.obs.promparse import parse as prom_parse
-from repro.service import RemosService, serve_http
+from repro.service import RemosService, serve_aio
 from repro.testbed import build_cmu_testbed
 
 TRACEPARENT = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
@@ -41,14 +41,11 @@ def live():
         slow_query_threshold=0.0,  # record every query: forensics under test
     )
     service.start(warmup=5.0)
-    server = serve_http(service, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    server = serve_aio(service, port=0)
     try:
-        yield f"http://127.0.0.1:{server.server_address[1]}", service, stream
+        yield f"http://127.0.0.1:{server.address[1]}", service, stream
     finally:
-        server.shutdown()
-        server.server_close()
+        server.stop()
         service.stop()
         obs.reset_observability()
 
@@ -291,12 +288,10 @@ class TestHealthFlip:
             max_epoch_age=0.001,
         )
         service.start(warmup=2.0)
-        server = serve_http(service, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+        server = serve_aio(service, port=0)
         try:
             time.sleep(0.1)  # let the first epoch age past the 1ms bound
-            base = f"http://127.0.0.1:{server.server_address[1]}"
+            base = f"http://127.0.0.1:{server.address[1]}"
             status, headers, body = _get(base + "/healthz")
             assert status == 503
             doc = json.loads(body)
@@ -306,6 +301,5 @@ class TestHealthFlip:
             assert reasons[0]["reading"] > reasons[0]["maximum"]
             assert "traceparent" in headers  # tracing works even when degraded
         finally:
-            server.shutdown()
-            server.server_close()
+            server.stop()
             service.stop()
